@@ -20,9 +20,8 @@
  * residual set is bounded by the convergence threshold while the
  * full image is not.
  *
- * Results are emitted into BENCH_fleet.json next to the fleet soak's
- * downtime percentiles (run the two in different directories when
- * both artifacts are wanted).
+ * Results are emitted into BENCH_migrate.json; the fleet soak's
+ * downtime percentiles stay in uexc-fleet's BENCH_fleet.json.
  */
 
 #include <cstdio>
@@ -115,7 +114,7 @@ main()
 {
     banner("Live migration: iterative pre-copy vs. stop-and-copy on "
            "a dirty-heavy guest");
-    bench::JsonResults json("fleet");
+    bench::JsonResults json("migrate");
     setLoggingEnabled(false);
 
     unsigned iters = 6;

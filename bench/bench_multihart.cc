@@ -26,16 +26,16 @@
  *     published these without the qualifier; the label is the fix.)
  *
  *   - `measured_*`: host wall-clock for the same user-vectored
- *     workload under the Serial, Barrier, and Relaxed schedulers
+ *     workload under the Serial and Barrier schedulers
  *     (sim::SchedulerMode) — real threads, real speedup, bounded by
  *     the host's core count (`host_threads` in the config block).
  *
  * The schedule of the analytic runs is deterministic (round-robin,
  * fixed quantum): two identical invocations produce identical cycle
  * counts, which this bench verifies by running one configuration
- * twice. Exits nonzero if determinism or the scaling criteria fail;
- * the wall-clock criteria only gate on hosts with enough cores to
- * mean anything.
+ * twice. Exits nonzero if determinism or the analytic scaling
+ * criteria fail; the wall-clock rows are reported, never gated, since
+ * they depend on the host's core count and load.
  */
 
 #include <algorithm>
@@ -48,8 +48,8 @@
 
 #include "bench_util.h"
 #include "core/multihart.h"
+#include "e2e/multihart_study.h"
 #include "os/kernel.h"
-#include "os/layout.h"
 #include "sim/machine.h"
 
 using namespace uexc;
@@ -57,12 +57,11 @@ using namespace uexc::sim;
 using uexc::bench::banner;
 using uexc::bench::noteLine;
 using uexc::bench::section;
+using uexc::bench::multihart::delivered;
+using uexc::bench::multihart::guestCount;
+using uexc::bench::multihart::setupStudy;
 
 namespace {
-
-/** Physical frame backing the (read-only, shared) worker text page. */
-constexpr Addr kWorkerPhys = 0x00210000;
-constexpr unsigned kAsid = 1;
 
 /** Scheduler quantum for the analytic runs: small enough that harts
  *  genuinely interleave within a run, large enough to amortize
@@ -113,37 +112,6 @@ class LockChargeObserver : public InstObserver
     os::KernelStackLock lock_;
 };
 
-/** Boot the study workload: N harts in the break/count loop, either
- *  user-vectored or kernel-mediated. */
-void
-setupStudy(Machine &m, unsigned n, bool user_vectored)
-{
-    m.load(rt::multihart::buildKernelImage(n));
-    Program worker = rt::multihart::buildWorkerProgram(n);
-    m.mem().writeBlock(kWorkerPhys, worker.words.data(),
-                       4 * worker.words.size());
-
-    for (unsigned i = 0; i < n; i++) {
-        Hart &h = m.hart(i);
-        // Wired identity mapping of the worker text page.
-        h.tlb().setEntry(0,
-                         (os::kUserTextBase & entryhi::VpnMask) |
-                             (kAsid << entryhi::AsidShift),
-                         (kWorkerPhys & entrylo::PfnMask) |
-                             entrylo::V);
-        Word st = h.cp0().statusReg() | status::KUc;
-        if (user_vectored) {
-            st |= status::UV;
-            h.cp0().setUxReg(UxReg::Target,
-                             worker.symbol("mh_uv_handler"));
-        }
-        h.cp0().setStatusReg(st);
-        h.cp0().write(cp0reg::EntryHi, kAsid << entryhi::AsidShift);
-        h.setPc(worker.symbol("mh_hart" + std::to_string(i) +
-                              "_entry"));
-    }
-}
-
 /** The analytic study: simulated-cycle throughput on the serial
  *  reference scheduler, kernel-stack lock charged via the observer. */
 StudyResult
@@ -166,9 +134,7 @@ runAnalyticStudy(unsigned n, bool user_vectored,
     r.harts = n;
     for (unsigned i = 0; i < n; i++) {
         const Hart &h = m.hart(i);
-        r.exceptions += user_vectored
-                            ? h.stats().userVectoredExceptions
-                            : h.stats().exceptionsTaken;
+        r.exceptions += delivered(m, i, user_vectored);
         r.maxHartCycles = std::max(r.maxHartCycles, h.cycles());
         r.hartCycles.push_back(h.cycles());
     }
@@ -183,20 +149,16 @@ runAnalyticStudy(unsigned n, bool user_vectored,
     // handler counts in the hart's mh_save slot, the worker counts
     // completed iterations in s0.
     for (unsigned i = 0; i < n; i++) {
-        Word guest =
-            user_vectored
-                ? m.hart(i).reg(S0)
-                : m.debugReadWord(m.symbol("mh_save") +
-                                  i * os::hartsave::Bytes);
-        Word delivered = user_vectored
-                             ? m.hart(i).stats().userVectoredExceptions
-                             : m.hart(i).stats().exceptionsTaken;
+        std::uint64_t guest = guestCount(m, i, user_vectored);
+        std::uint64_t taken = delivered(m, i, user_vectored);
         // s0 / the save slot trail delivery by at most the partial
         // iteration in flight when the budget ran out.
-        if (guest + 1 < delivered) {
+        if (guest + 1 < taken) {
             std::fprintf(stderr,
-                         "hart %u: guest counted %u of %u delivered "
-                         "exceptions\n", i, guest, delivered);
+                         "hart %u: guest counted %llu of %llu delivered "
+                         "exceptions\n", i,
+                         static_cast<unsigned long long>(guest),
+                         static_cast<unsigned long long>(taken));
             std::exit(1);
         }
     }
@@ -303,41 +265,27 @@ main()
     // -- measured wall clock: real host threads -------------------------
 
     section("measured: host wall-clock, user-vectored workload "
-            "(serial vs barrier vs relaxed)");
+            "(serial vs barrier)");
     std::printf("  host threads: %u\n", host_threads);
-    std::printf("  %5s %12s %12s %12s %10s %10s\n", "harts",
-                "serial (ms)", "barrier (ms)", "relaxed (ms)",
-                "bar spd", "rel spd");
+    std::printf("  %5s %12s %12s %10s\n", "harts", "serial (ms)",
+                "barrier (ms)", "bar spd");
 
-    double barrier_speedup_8 = 0, relaxed_speedup_8 = 0;
     for (unsigned n : {1u, 2u, 4u, 8u}) {
         double serial_s =
             runMeasured(n, SchedulerMode::Serial, measured_per_hart);
         double barrier_s =
             runMeasured(n, SchedulerMode::Barrier, measured_per_hart);
-        double relaxed_s =
-            runMeasured(n, SchedulerMode::Relaxed, measured_per_hart);
         double bar_spd = barrier_s > 0 ? serial_s / barrier_s : 0;
-        double rel_spd = relaxed_s > 0 ? serial_s / relaxed_s : 0;
-        std::printf("  %5u %12.1f %12.1f %12.1f %9.2fx %9.2fx\n", n,
-                    1e3 * serial_s, 1e3 * barrier_s, 1e3 * relaxed_s,
-                    bar_spd, rel_spd);
+        std::printf("  %5u %12.1f %12.1f %9.2fx\n", n, 1e3 * serial_s,
+                    1e3 * barrier_s, bar_spd);
 
         std::string suffix = "_h" + std::to_string(n);
         json.metric("measured_serial_wall" + suffix, 1e3 * serial_s,
                     "ms");
         json.metric("measured_barrier_wall" + suffix,
                     1e3 * barrier_s, "ms");
-        json.metric("measured_relaxed_wall" + suffix,
-                    1e3 * relaxed_s, "ms");
         json.metric("measured_barrier_speedup" + suffix, bar_spd,
                     "x");
-        json.metric("measured_relaxed_speedup" + suffix, rel_spd,
-                    "x");
-        if (n == 8) {
-            barrier_speedup_8 = bar_spd;
-            relaxed_speedup_8 = rel_spd;
-        }
     }
     noteLine("analytic 8.00x is a cost-model statement; these rows "
              "are what the host actually did, bounded by its core "
@@ -368,25 +316,6 @@ main()
                      "user-vectored (%.2fx >= %.2fx)\n",
                      kernel_scale, uv_scale);
         ok = false;
-    }
-    // Wall-clock gates only bind where the host can physically
-    // deliver parallelism; a 1-core container legitimately measures
-    // speedups below 1.
-    if (host_threads >= 4) {
-        if (relaxed_speedup_8 < 3.0) {
-            std::fprintf(stderr,
-                         "FAIL: measured relaxed speedup %.2fx < 3x "
-                         "at 8 harts on a %u-thread host\n",
-                         relaxed_speedup_8, host_threads);
-            ok = false;
-        }
-        if (relaxed_speedup_8 < 0.9 * barrier_speedup_8) {
-            std::fprintf(stderr,
-                         "FAIL: relaxed (%.2fx) slower than barrier "
-                         "(%.2fx)\n",
-                         relaxed_speedup_8, barrier_speedup_8);
-            ok = false;
-        }
     }
     return ok ? 0 : 1;
 }

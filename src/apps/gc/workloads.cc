@@ -10,6 +10,9 @@ namespace {
 constexpr unsigned kRootTree = 0;
 constexpr unsigned kRootPersistent = 1;
 constexpr unsigned kRootArray = 2;
+/** buildTree's pending left subtree of depth d lives in slot
+ *  kRootPending + d. */
+constexpr unsigned kRootPending = 3;
 
 /** cons: a fresh 2-word cell (car, cdr) through the write barrier. */
 Addr
@@ -19,24 +22,6 @@ cons(Collector &gc, Addr car, Addr cdr)
     gc.writeWord(cell, 0, car);
     gc.writeWord(cell, 1, cdr);
     return cell;
-}
-
-/** Build a binary tree of cons cells, depth @p depth. */
-Addr
-buildTree(Collector &gc, unsigned depth)
-{
-    if (depth == 0)
-        return 0;
-    // keep partial trees reachable through the tree root slot so a
-    // collection in the middle of construction does not reclaim them
-    Addr left = buildTree(gc, depth - 1);
-    gc.setRoot(kRootTree, left);
-    Addr right = buildTree(gc, depth - 1);
-    Addr node = gc.alloc(2);
-    gc.writeWord(node, 0, left);
-    gc.writeWord(node, 1, right);
-    gc.setRoot(kRootTree, node);
-    return node;
 }
 
 GcRunResult
@@ -52,6 +37,26 @@ finish(rt::UserEnv &env, Collector &gc, Cycles start_cycles,
 }
 
 } // namespace
+
+Addr
+buildTree(Collector &gc, unsigned depth)
+{
+    if (depth == 0)
+        return 0;
+    // The tree slot alone is not enough: building the right subtree
+    // overwrites it, so the left subtree also holds a slot of its own
+    // until its parent cell links it.
+    Addr left = buildTree(gc, depth - 1);
+    gc.setRoot(kRootTree, left);
+    gc.setRoot(kRootPending + depth, left);
+    Addr right = buildTree(gc, depth - 1);
+    Addr node = gc.alloc(2);
+    gc.writeWord(node, 0, left);
+    gc.writeWord(node, 1, right);
+    gc.setRoot(kRootTree, node);
+    gc.setRoot(kRootPending + depth, 0);
+    return node;
+}
 
 GcRunResult
 runLispOps(rt::UserEnv &env, BarrierKind barrier,

@@ -60,6 +60,17 @@ GcRunResult runLispOps(rt::UserEnv &env, BarrierKind barrier,
 GcRunResult runArrayTest(rt::UserEnv &env, BarrierKind barrier,
                          const GcWorkloadParams &params = {});
 
+/**
+ * Build the Lisp workload's binary tree of @p depth levels of 2-word
+ * cons cells (car = left, cdr = right, 0 below the last level) and
+ * return its root, which is left in root slot 0. A collection at any
+ * allocation during construction keeps every finished subtree: each
+ * pending left subtree holds root slot 3 + its depth until its parent
+ * cell links it, so @p depth must stay below the collector's root
+ * count minus 3.
+ */
+Addr buildTree(Collector &gc, unsigned depth);
+
 } // namespace uexc::apps
 
 #endif // UEXC_APPS_GC_WORKLOADS_H

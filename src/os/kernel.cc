@@ -547,20 +547,6 @@ Kernel::demoteDelivery(Process &p)
 void
 Kernel::onHcall(Cpu &cpu, Word service)
 {
-    // The real lock first: when harts execute on host threads the
-    // kernel's host-side structures (procs_, frames_, counters) need
-    // genuine mutual exclusion, not just the analytic timestamp
-    // below. Serial and barrier runs acquire it uncontended, so cost
-    // and behaviour are unchanged; the counters are host measurement
-    // only (see StackLockRealStats).
-    if (!stackMutex_.try_lock()) {
-        stackMutex_.lock();
-        stackLockReal_.contended++;
-    }
-    stackLockReal_.acquires++;
-    std::lock_guard<std::mutex> stack_guard(stackMutex_,
-                                            std::adopt_lock);
-
     // Every bridged service runs on the shared kernel stack; on a
     // multi-hart machine that means taking the stack lock first, so
     // a hart that traps while another one is inside the kernel spins

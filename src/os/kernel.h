@@ -16,7 +16,6 @@
 #define UEXC_OS_KERNEL_H
 
 #include <memory>
-#include <mutex>
 #include <unordered_map>
 #include <vector>
 
@@ -359,30 +358,6 @@ class Kernel
     /** The shared kernel-stack lock model (see KernelStackLock). */
     const KernelStackLock &stackLock() const { return stackLock_; }
 
-    /**
-     * Host-measured counters of the *real* kernel-stack lock: a
-     * std::mutex taken around every bridged service, so the kernel's
-     * host-side structures stay consistent when harts run on real
-     * threads (the relaxed scheduler). The analytic model above keeps
-     * producing the simulated-cycle numbers; these count actual host
-     * lock acquisitions and contended ones. Deliberately NOT
-     * serialized in snapshots — they are a host measurement, and
-     * including them would make serial and parallel checkpoint images
-     * diverge. Note that under the relaxed scheduler the Machine's
-     * hcall lock serializes callers upstream, so cross-thread
-     * contention surfaces in Machine::hcallLockStats() rather than
-     * here.
-     */
-    struct StackLockRealStats
-    {
-        std::uint64_t acquires = 0;
-        std::uint64_t contended = 0;
-    };
-    const StackLockRealStats &stackLockReal() const
-    {
-        return stackLockReal_;
-    }
-
     /** Exit code recorded by sys::Exit (process exit halts the CPU). */
     Word exitCode() const { return exitCode_; }
     bool exited() const { return exited_; }
@@ -451,8 +426,6 @@ class Kernel
     std::vector<UpcallFn> hartUpcalls_;
     std::vector<Addr> hartSaves_;
     KernelStackLock stackLock_;
-    std::mutex stackMutex_;
-    StackLockRealStats stackLockReal_;
     bool exited_ = false;
     Word exitCode_ = 0;
     std::uint64_t subpageEmuls_ = 0;

@@ -176,7 +176,7 @@ constexpr unsigned Bytes   = Words * 4;
 
 // -- fast exception frame (per exception type, in the frame page) --------------------
 //
-// The frame page holds one frame per ExcCode value, 64 bytes each
+// The frame page holds one frame per ExcCode value, 128 bytes each
 // (paper section 3.2: "a communication area for each exception type
 // enabled"). The kernel fills Epc/Cause/BadVA and the scratch-reg
 // slots; the user-level stub may spill more registers into Spill.

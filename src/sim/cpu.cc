@@ -180,9 +180,9 @@ Cpu::translateQuiet(Addr vaddr, AccessType type) const
 //
 // Every guest-visible load, store, and fetch funnels through these so
 // the barrier scheduler's speculative rounds see their own buffered
-// stores and record touched pages. With no buffer attached (serial,
-// relaxed, and all single-hart execution) they compile down to the
-// direct PhysMemory access.
+// stores and record touched pages. With no buffer attached (serial
+// and all single-hart execution) they compile down to the direct
+// PhysMemory access.
 
 inline Word
 Cpu::loadWord(Addr paddr)
@@ -461,7 +461,7 @@ Cpu::fetchFast()
         return nullptr;
     }
     if (translationKey(h_->pc_) != h_->fetchKey_ ||
-        PhysMemory::loadVersion(h_->fetchMemVer_) != h_->fetchVersion_ ||
+        *h_->fetchMemVer_ != h_->fetchVersion_ ||
         !isAligned(h_->pc_, 4)) {
         return nullptr;
     }
@@ -491,7 +491,7 @@ Cpu::refillFetchFast(const TranslateResult &tr)
     Word ppn = tr.paddr >> PhysMemory::PageShift;
     auto &slot = h_->decodedPages_[ppn];
     const std::uint32_t *ver = mem_.pageVersionPtr(tr.paddr);
-    std::uint32_t ver_now = PhysMemory::loadVersion(ver);
+    std::uint32_t ver_now = *ver;
     if (!slot || slot->version != ver_now) {
         if (!slot)
             slot = std::make_unique<Hart::DecodedPage>();
@@ -621,7 +621,7 @@ Cpu::runFast(InstCount max_insts)
         if (h_->tlbGenSeen_ != h_->tlb_.generation())
             h_->flushMicroTlb();
         if (translationKey(h_->pc_) != h_->fetchKey_ ||
-            PhysMemory::loadVersion(h_->fetchMemVer_) != h_->fetchVersion_ ||
+            *h_->fetchMemVer_ != h_->fetchVersion_ ||
             (h_->pc_ & 3) != 0) {
             // miss: one reference step raises any fetch exception and
             // refills the fetch cache
@@ -899,8 +899,7 @@ Cpu::runFast(InstCount max_insts)
                 (DecodedInst::FlagStore | DecodedInst::FlagFence)) {
                 if (inst.flags & DecodedInst::FlagFence)
                     break;
-                if (PhysMemory::loadVersion(h_->fetchMemVer_) !=
-                    h_->fetchVersion_)
+                if (*h_->fetchMemVer_ != h_->fetchVersion_)
                     break;
             }
         }

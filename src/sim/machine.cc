@@ -26,11 +26,12 @@ resolveScheduler(SchedulerMode mode)
     const char *env = std::getenv("UEXC_PARALLEL");
     if (!env)
         return SchedulerMode::Serial;
+    if (std::strcmp(env, "0") == 0 || std::strcmp(env, "serial") == 0)
+        return SchedulerMode::Serial;
     if (std::strcmp(env, "1") == 0 || std::strcmp(env, "barrier") == 0)
         return SchedulerMode::Barrier;
-    if (std::strcmp(env, "2") == 0 || std::strcmp(env, "relaxed") == 0)
-        return SchedulerMode::Relaxed;
-    return SchedulerMode::Serial;
+    UEXC_FATAL("UEXC_PARALLEL='%s' is not a scheduler; accepted values "
+               "are 0, serial, 1, barrier (or leave it unset)", env);
 }
 
 } // namespace
@@ -38,8 +39,8 @@ resolveScheduler(SchedulerMode mode)
 /**
  * Persistent worker pool: one host thread, one private execute
  * engine, and one store buffer per hart. Workers sleep between
- * dispatches; Machine::runBarrier / runRelaxed install one job per
- * live hart and block until all complete. The mutex hand-offs give
+ * dispatches; Machine::runBarrier installs one job per live hart
+ * and blocks until all complete. The mutex hand-offs give
  * every dispatch release/acquire edges in both directions, so
  * whatever a worker wrote (hart state, its store buffer, RunResults)
  * is visible to the machine thread after run() returns — and
@@ -52,8 +53,7 @@ struct Machine::ParallelPool
     {
         CpuConfig worker_cfg = config;
         // A fault injector forces the serial scheduler (eligibility
-        // checks in runBarrier/runRelaxed), so worker engines never
-        // consult one.
+        // checks in runBarrier), so worker engines never consult one.
         worker_cfg.faultInjector = nullptr;
         for (Slot &s : slots_)
             s.engine = std::make_unique<Cpu>(mem, worker_cfg);
@@ -155,8 +155,6 @@ Machine::Machine(const MachineConfig &config)
         harts_.push_back(std::make_unique<Hart>(i, config.cpu));
     cpu_ = std::make_unique<Cpu>(*mem_, config.cpu);
     cpu_->bindHart(*harts_[0]);
-    pendingShootdowns_.resize(n);
-    shootdownSeen_.resize(n, 0);
 }
 
 Machine::~Machine() = default;
@@ -182,63 +180,15 @@ Machine::setCurrentHart(unsigned i)
 void
 Machine::invalidateTlbs(Addr vaddr, unsigned asid)
 {
-    if (relaxedActive_.load(std::memory_order_acquire)) {
-        // Free-running harts: only the calling hart's TLB may be
-        // touched from this thread (the caller is a worker inside a
-        // serialized host call, or the machine thread between runs).
-        // Everyone else gets a pending entry applied by their own
-        // worker at its next chunk boundary — the epoch-counted
-        // shootdown protocol.
-        std::lock_guard<std::mutex> lk(shootdownMutex_);
-        for (unsigned i = 0; i < harts_.size(); i++) {
-            if (i == currentHart_)
-                harts_[i]->tlb().invalidate(vaddr, asid);
-            else
-                pendingShootdowns_[i].emplace_back(vaddr, asid);
-        }
-        shootdownEpoch_.fetch_add(1, std::memory_order_release);
-        return;
-    }
     for (auto &h : harts_)
         h->tlb().invalidate(vaddr, asid);
-}
-
-void
-Machine::applyShootdowns(unsigned hart)
-{
-    if (shootdownEpoch_.load(std::memory_order_acquire) ==
-        shootdownSeen_[hart])
-        return;
-    std::lock_guard<std::mutex> lk(shootdownMutex_);
-    for (const auto &[vaddr, asid] : pendingShootdowns_[hart])
-        harts_[hart]->tlb().invalidate(vaddr, asid);
-    pendingShootdowns_[hart].clear();
-    shootdownSeen_[hart] =
-        shootdownEpoch_.load(std::memory_order_relaxed);
-}
-
-void
-Machine::drainShootdowns()
-{
-    std::lock_guard<std::mutex> lk(shootdownMutex_);
-    for (unsigned i = 0; i < harts_.size(); i++) {
-        for (const auto &[vaddr, asid] : pendingShootdowns_[i])
-            harts_[i]->tlb().invalidate(vaddr, asid);
-        pendingShootdowns_[i].clear();
-        shootdownSeen_[i] =
-            shootdownEpoch_.load(std::memory_order_relaxed);
-    }
 }
 
 MachineRunResult
 Machine::run(InstCount max_insts)
 {
-    if (harts_.size() > 1) {
-        if (scheduler_ == SchedulerMode::Barrier)
-            return runBarrier(max_insts);
-        if (scheduler_ == SchedulerMode::Relaxed)
-            return runRelaxed(max_insts);
-    }
+    if (harts_.size() > 1 && scheduler_ == SchedulerMode::Barrier)
+        return runBarrier(max_insts);
     return runSerialImpl(max_insts);
 }
 
@@ -484,123 +434,6 @@ Machine::runBarrier(InstCount max_insts)
         cpu_->bindHart(*harts_[order.back()]);
         currentHart_ = (order.back() + 1) % n;
     }
-}
-
-void
-Machine::relaxedHcall(unsigned hart, Word service)
-{
-    // Host services mutate shared kernel/host state, so they are the
-    // one serialization point of the relaxed scheduler; the real lock
-    // stands in for the paper's kernel-stack lock, and the contention
-    // counters are the measured analogue of the analytic model in
-    // os/kernel.h.
-    if (hcallMutex_.try_lock()) {
-        hcallLockStats_.acquires++;
-    } else {
-        hcallMutex_.lock();
-        hcallLockStats_.acquires++;
-        hcallLockStats_.contended++;
-    }
-    unsigned prev = currentHart_;
-    currentHart_ = hart;
-    cpu_->bindHart(*harts_[hart]);
-    cpu_->hcallHandler()(*cpu_, service);
-    currentHart_ = prev;
-    cpu_->bindHart(*harts_[prev]);
-    hcallMutex_.unlock();
-}
-
-/**
- * Relaxed free-running scheduler: every live hart runs on its own
- * worker with no barrier, claiming chunks from a shared atomic
- * instruction budget until it halts or the budget drains. Guest
- * memory really is concurrently shared (PhysMemory switches to its
- * relaxed-atomic discipline); host calls serialize on a real mutex;
- * TLB shootdowns defer to each hart's own worker. The interleaving is
- * whatever the host gives — throughput mode, not the deterministic
- * reference.
- */
-MachineRunResult
-Machine::runRelaxed(InstCount max_insts)
-{
-    const unsigned n = unsigned(harts_.size());
-
-    // The deterministic-schedule facilities cannot run free: fall
-    // back to the reference scheduler when they are present.
-    bool fallback =
-        cpu_->observer() != nullptr || config_.cpu.faultInjector;
-    for (unsigned i = 0; !fallback && i < n; i++)
-        fallback = harts_[i]->hasBreakpoints();
-    if (fallback)
-        return runSerialImpl(max_insts);
-
-    ensurePool();
-    mem_->setConcurrent(true);
-    relaxedActive_.store(true, std::memory_order_release);
-
-    // Chunk size bounds how stale a hart's view of the shared budget
-    // and pending shootdowns can get.
-    const InstCount chunk = std::min<InstCount>(
-        config_.quantum, std::max<InstCount>(1, max_insts / n));
-    std::atomic<InstCount> budget{max_insts};
-    std::vector<RunResult> rr(n);
-
-    bool handler = static_cast<bool>(cpu_->hcallHandler());
-    std::vector<std::function<void()>> jobs(pool_->size());
-    for (unsigned i = 0; i < n; i++) {
-        if (harts_[i]->halted())
-            continue;
-        jobs[i] = [this, i, chunk, handler, &budget, &rr] {
-            Cpu &eng = pool_->engine(i);
-            eng.bindHart(*harts_[i]);
-            if (handler)
-                eng.setHcallHandler([this, i](Cpu &, Word svc) {
-                    relaxedHcall(i, svc);
-                });
-            else
-                eng.setHcallHandler(nullptr);
-            while (!harts_[i]->halted()) {
-                applyShootdowns(i);
-                InstCount cur =
-                    budget.load(std::memory_order_relaxed);
-                InstCount take = 0;
-                while (cur > 0) {
-                    take = std::min(chunk, cur);
-                    if (budget.compare_exchange_weak(
-                            cur, cur - take,
-                            std::memory_order_relaxed))
-                        break;
-                    take = 0;
-                }
-                if (take == 0)
-                    break;
-                RunResult r = eng.run(take);
-                rr[i].instsExecuted += r.instsExecuted;
-                rr[i].reason = r.reason;
-                if (r.instsExecuted < take)
-                    budget.fetch_add(take - r.instsExecuted,
-                                     std::memory_order_relaxed);
-            }
-            applyShootdowns(i);
-        };
-    }
-    pool_->run(std::move(jobs));
-
-    relaxedActive_.store(false, std::memory_order_release);
-    mem_->setConcurrent(false);
-    drainShootdowns();
-
-    MachineRunResult result;
-    bool all_halted = true;
-    for (unsigned i = 0; i < n; i++) {
-        result.instsExecuted += rr[i].instsExecuted;
-        if (!harts_[i]->halted())
-            all_halted = false;
-    }
-    result.reason =
-        all_halted ? StopReason::Halted : StopReason::InstLimit;
-    result.hart = currentHart_;
-    return result;
 }
 
 Addr

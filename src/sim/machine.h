@@ -14,22 +14,19 @@
  * no clocks — so every multi-hart run is bit-reproducible. The
  * Barrier scheduler preserves this contract on real host threads
  * (speculative rounds that commit or roll back to the serial
- * schedule, see SchedulerMode); only the opt-in Relaxed scheduler
- * trades the contract away for wall-clock throughput.
+ * schedule, see SchedulerMode), so cross-hart visibility happens only
+ * at quantum and round boundaries.
  */
 
 #ifndef UEXC_SIM_MACHINE_H
 #define UEXC_SIM_MACHINE_H
 
-#include <atomic>
 #include <cstddef>
 #include <functional>
 #include <map>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <unordered_set>
-#include <utility>
 #include <vector>
 
 #include "common/types.h"
@@ -52,23 +49,17 @@ namespace uexc::sim {
  *    back and re-run serially. Observable behaviour (state, cycles,
  *    instret, delivery stats, checkpoint images) is bit-identical to
  *    Serial; tests/test_parallel.cc enforces this.
- *  - Relaxed: opt-in free-running harts with no barrier, an atomic
- *    shared instruction budget, serialized host calls, and epoch-
- *    counted deferred TLB shootdowns. Raw wall-clock throughput; NOT
- *    bit-identical to Serial (the interleaving is real). Falls back
- *    to Serial when an observer, breakpoints, or a fault injector
- *    need the deterministic schedule.
  *  - Auto: resolve from the UEXC_PARALLEL environment variable
- *    ("0"/"serial" → Serial, "1"/"barrier" → Barrier, "2"/"relaxed"
- *    → Relaxed, unset → Serial), so CI can force either scheduler
- *    into existing binaries without rebuilds.
+ *    ("0"/"serial" → Serial, "1"/"barrier" → Barrier, unset →
+ *    Serial; any other value is fatal), so CI can force either
+ *    scheduler into existing binaries without rebuilds.
  *
  * The mode is host policy, not machine state: it is deliberately
  * excluded from the checkpoint config echo, so serial and barrier
  * machines produce byte-identical images and can restore each
  * other's.
  */
-enum class SchedulerMode { Auto, Serial, Barrier, Relaxed };
+enum class SchedulerMode { Auto, Serial, Barrier };
 
 /** Barrier-scheduler outcome counters (host-side measurement). */
 struct BarrierSchedStats
@@ -77,13 +68,6 @@ struct BarrierSchedStats
     std::uint64_t committedRounds = 0;  ///< ...that committed
     std::uint64_t abortedRounds = 0;    ///< ...rolled back to serial
     std::uint64_t serialQuanta = 0;     ///< quanta run on the caller
-};
-
-/** Relaxed-scheduler host-call lock contention (host-side). */
-struct HcallLockStats
-{
-    std::uint64_t acquires = 0;
-    std::uint64_t contended = 0;
 };
 
 /** Machine-wide configuration. */
@@ -171,10 +155,6 @@ class Machine
     const BarrierSchedStats &barrierStats() const
     {
         return barrierStats_;
-    }
-    const HcallLockStats &hcallLockStats() const
-    {
-        return hcallLockStats_;
     }
 
     /** Attach (or detach with nullptr) a recorder for the page sets
@@ -284,11 +264,7 @@ class Machine
 
     MachineRunResult runSerialImpl(InstCount max_insts);
     MachineRunResult runBarrier(InstCount max_insts);
-    MachineRunResult runRelaxed(InstCount max_insts);
     void ensurePool();
-    void relaxedHcall(unsigned hart, Word service);
-    void applyShootdowns(unsigned hart);
-    void drainShootdowns();
 
     MachineConfig config_;
     std::unique_ptr<PhysMemory> mem_;
@@ -308,20 +284,6 @@ class Machine
     unsigned abortStreakLen_ = 0;
     BarrierSchedStats barrierStats_;
     PageTouchLog *pageTouchLog_ = nullptr;
-
-    std::mutex hcallMutex_;
-    HcallLockStats hcallLockStats_;
-
-    /** Deferred TLB shootdowns for the relaxed scheduler: epoch bumps
-     *  publish new pending entries; each hart's own worker applies its
-     *  list at chunk boundaries (so no thread ever mutates another
-     *  thread's TLB). */
-    std::mutex shootdownMutex_;
-    std::vector<std::vector<std::pair<Addr, unsigned>>>
-        pendingShootdowns_;
-    std::vector<std::uint64_t> shootdownSeen_;
-    std::atomic<std::uint64_t> shootdownEpoch_{0};
-    std::atomic<bool> relaxedActive_{false};
 };
 
 } // namespace uexc::sim

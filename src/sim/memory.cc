@@ -29,20 +29,10 @@ PhysMemory::check(Addr paddr, unsigned access_size) const
                    paddr, access_size);
 }
 
-// The accesses are naturally aligned (check() enforces it), so the
-// concurrent-mode casts below are valid targets for the host's atomic
-// loads and stores; relaxed ordering is all the guest memory model
-// needs (the simulated ISA has no ordered or atomic accesses).
-
 Word
 PhysMemory::readWord(Addr paddr) const
 {
     check(paddr, 4);
-    if (concurrent_) {
-        return __atomic_load_n(
-            reinterpret_cast<const std::uint32_t *>(&data_[paddr]),
-            __ATOMIC_RELAXED);
-    }
     Word value;
     std::memcpy(&value, &data_[paddr], 4);
     return value;
@@ -52,11 +42,6 @@ Half
 PhysMemory::readHalf(Addr paddr) const
 {
     check(paddr, 2);
-    if (concurrent_) {
-        return __atomic_load_n(
-            reinterpret_cast<const std::uint16_t *>(&data_[paddr]),
-            __ATOMIC_RELAXED);
-    }
     Half value;
     std::memcpy(&value, &data_[paddr], 2);
     return value;
@@ -66,8 +51,6 @@ Byte
 PhysMemory::readByte(Addr paddr) const
 {
     check(paddr, 1);
-    if (concurrent_)
-        return __atomic_load_n(&data_[paddr], __ATOMIC_RELAXED);
     return data_[paddr];
 }
 
@@ -75,13 +58,7 @@ void
 PhysMemory::writeWord(Addr paddr, Word value)
 {
     check(paddr, 4);
-    if (concurrent_) {
-        __atomic_store_n(
-            reinterpret_cast<std::uint32_t *>(&data_[paddr]), value,
-            __ATOMIC_RELAXED);
-    } else {
-        std::memcpy(&data_[paddr], &value, 4);
-    }
+    std::memcpy(&data_[paddr], &value, 4);
     bumpVersion(paddr);
 }
 
@@ -89,13 +66,7 @@ void
 PhysMemory::writeHalf(Addr paddr, Half value)
 {
     check(paddr, 2);
-    if (concurrent_) {
-        __atomic_store_n(
-            reinterpret_cast<std::uint16_t *>(&data_[paddr]), value,
-            __ATOMIC_RELAXED);
-    } else {
-        std::memcpy(&data_[paddr], &value, 2);
-    }
+    std::memcpy(&data_[paddr], &value, 2);
     bumpVersion(paddr);
 }
 
@@ -103,10 +74,7 @@ void
 PhysMemory::writeByte(Addr paddr, Byte value)
 {
     check(paddr, 1);
-    if (concurrent_)
-        __atomic_store_n(&data_[paddr], value, __ATOMIC_RELAXED);
-    else
-        data_[paddr] = value;
+    data_[paddr] = value;
     bumpVersion(paddr);
 }
 

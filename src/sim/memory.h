@@ -21,16 +21,10 @@ namespace uexc::sim {
  * aligned; violations are uexc bugs (the CPU checks alignment and
  * raises guest exceptions before calling in here).
  *
- * Concurrency: in the default (serial and barrier-parallel) modes the
- * memory is only ever written by one thread at a time — barrier-round
- * workers read a frozen image and buffer their stores (sim/storebuf.h)
- * — so the accessors use plain loads and stores. setConcurrent(true)
- * switches the word/half/byte accessors to relaxed host atomics and
- * the page-version bumps to atomic increments for the relaxed
- * free-running scheduler, where harts really do race on guest-shared
- * pages. Relaxed atomics compile to plain moves on x86, so the
- * discipline costs nothing but makes the races well-defined (and
- * visible to ThreadSanitizer as intentional).
+ * Concurrency: the memory is only ever written by one thread at a
+ * time — barrier-round workers read a frozen image and buffer their
+ * stores (sim/storebuf.h) — so the accessors use plain loads and
+ * stores.
  */
 class PhysMemory
 {
@@ -82,39 +76,10 @@ class PhysMemory
         return &pageVersions_[paddr >> PageShift];
     }
 
-    /**
-     * Read a page-version word through a stable pointer obtained from
-     * pageVersionPtr(). Always a relaxed atomic load (a plain mov on
-     * x86): in relaxed-scheduler runs another hart may be bumping the
-     * version concurrently, and the polling sites must not constitute
-     * a data race.
-     */
-    static std::uint32_t loadVersion(const std::uint32_t *p)
-    {
-        return __atomic_load_n(p, __ATOMIC_RELAXED);
-    }
-
-    /**
-     * Switch between the plain (single-writer) and relaxed-atomic
-     * (free-running harts) access disciplines. Only the Machine's
-     * relaxed scheduler flips this, around a run; bulk operations
-     * (writeBlock/readBlock/clearRange) stay plain and must not be
-     * used while concurrent execution is in flight.
-     */
-    void setConcurrent(bool on) { concurrent_ = on; }
-    bool concurrent() const { return concurrent_; }
-
   private:
     void check(Addr paddr, unsigned access_size) const;
 
-    void bumpVersion(Addr paddr)
-    {
-        std::uint32_t *p = &pageVersions_[paddr >> PageShift];
-        if (concurrent_)
-            __atomic_fetch_add(p, 1, __ATOMIC_RELAXED);
-        else
-            ++*p;
-    }
+    void bumpVersion(Addr paddr) { ++pageVersions_[paddr >> PageShift]; }
 
     void touchPages(Addr paddr, std::size_t bytes)
     {
@@ -128,7 +93,6 @@ class PhysMemory
 
     std::vector<Byte> data_;
     std::vector<std::uint32_t> pageVersions_;
-    bool concurrent_ = false;
 };
 
 } // namespace uexc::sim

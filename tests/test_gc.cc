@@ -7,6 +7,8 @@
 
 #include <gtest/gtest.h>
 
+#include <set>
+
 #include "apps/gc/gc.h"
 #include "apps/gc/workloads.h"
 #include "os_test_util.h"
@@ -217,6 +219,50 @@ TEST(GcWorkloads, LispOpsRunsInPaperRegime)
     EXPECT_GT(r.gc.collections, 0u);
     EXPECT_GT(r.gc.barrierFaults, 0u);
     EXPECT_GT(r.cycles, 0u);
+}
+
+/** Walk @p node against the shape buildTree promises, a complete
+ *  binary tree of @p depth levels: every cell a live object reached
+ *  exactly once, and 0 below the last level. */
+void
+walkTree(Collector &gc, Addr node, unsigned depth, std::set<Addr> &seen)
+{
+    if (depth == 0) {
+        EXPECT_EQ(node, 0u);
+        return;
+    }
+    ASSERT_NE(node, 0u) << "missing subtree of depth " << depth;
+    ASSERT_TRUE(gc.isObject(node))
+        << "reclaimed cell 0x" << std::hex << node;
+    ASSERT_TRUE(seen.insert(node).second)
+        << "cell 0x" << std::hex << node << " reached twice";
+    walkTree(gc, gc.readWord(node, 0), depth - 1, seen);
+    walkTree(gc, gc.readWord(node, 1), depth - 1, seen);
+}
+
+TEST(GcWorkloads, BuildTreeSurvivesCollectionsMidConstruction)
+{
+    BootedKernel bk(osMachineConfig(true));
+    UserEnv env(bk.kernel, DeliveryMode::FastSoftware);
+    env.install(kAllExcMask);
+    Collector::Config cfg;
+    cfg.youngBudgetBytes = 4096; // a collection every few hundred cells
+    Collector gc(env, cfg);
+
+    constexpr unsigned kDepth = 10;
+    Addr tree = buildTree(gc, kDepth);
+    ASSERT_GE(gc.stats().collections, 2u) << "no mid-build collection";
+    EXPECT_EQ(gc.root(0), tree);
+
+    std::set<Addr> seen;
+    walkTree(gc, tree, kDepth, seen);
+    EXPECT_EQ(seen.size(), (1u << kDepth) - 1);
+
+    // The root slot alone keeps the finished tree.
+    gc.fullCollect();
+    seen.clear();
+    walkTree(gc, tree, kDepth, seen);
+    EXPECT_EQ(seen.size(), (1u << kDepth) - 1);
 }
 
 TEST(GcWorkloads, ArrayTestFaultsOnOldArrayPages)

@@ -21,6 +21,10 @@ struct EncodedCase
     unsigned rs, rt, rd;
 };
 
+// gtest would otherwise print the raw bytes of the case, name pointer
+// included, and the discovered test names would change with every build.
+void PrintTo(const EncodedCase &c, std::ostream *os) { *os << c.name; }
+
 class DecodeRoundTrip : public ::testing::TestWithParam<EncodedCase> {};
 
 TEST_P(DecodeRoundTrip, OpAndFieldsSurvive)
@@ -82,6 +86,8 @@ struct ImmCase
     Word imm;
     Word simm;
 };
+
+void PrintTo(const ImmCase &c, std::ostream *os) { *os << c.name; }
 
 class ImmediateDecode : public ::testing::TestWithParam<ImmCase> {};
 

@@ -1,6 +1,6 @@
 /**
  * @file
- * Lockstep equivalence suite for the host-parallel schedulers
+ * Lockstep equivalence suite for the host-parallel scheduler
  * (machine.h SchedulerMode). The Barrier scheduler's contract is that
  * running every quantum on its own host thread is *observably
  * indistinguishable* from the serial round-robin reference — final
@@ -25,10 +25,9 @@
  * the config echo — so a serial and a barrier machine that executed
  * the same schedule produce the same bytes.
  *
- * The opt-in Relaxed scheduler makes no such promise; it gets
- * weaker-contract smoke tests (budget conservation, liveness) plus
- * the UEXC_PARALLEL resolution tests. Run this binary under TSan
- * (cmake -DUEXC_TSAN=ON) to check the synchronization itself.
+ * The UEXC_PARALLEL resolution tests close the file. Run this binary
+ * under TSan (cmake -DUEXC_TSAN=ON) to check the synchronization
+ * itself.
  */
 
 #include <gtest/gtest.h>
@@ -42,6 +41,7 @@
 #include <vector>
 
 #include "analysis/conflict.h"
+#include "common/logging.h"
 #include "core/multihart.h"
 #include "fuzz_util.h"
 #include "os/kernel.h"
@@ -570,62 +570,7 @@ TEST(ParallelConflict, ActiveInjectorIsIneligibleButIdentical)
 }
 
 // ---------------------------------------------------------------------------
-// 6. Relaxed scheduler: weaker contract, smoke only.
-// ---------------------------------------------------------------------------
-
-TEST(RelaxedSmoke, BudgetIsConservedAndDeliveryHappens)
-{
-    auto m = buildStudy(4, true, false, SchedulerMode::Relaxed);
-    InstCount budget = 80000;
-    MachineRunResult r = m->run(budget);
-
-    // The workers never halt, so the whole budget is consumed; the
-    // atomic chunk claims must neither lose nor invent instructions.
-    EXPECT_EQ(int(r.reason), int(StopReason::InstLimit));
-    EXPECT_EQ(r.instsExecuted, budget);
-    InstCount total = 0;
-    std::uint64_t delivered = 0;
-    for (unsigned i = 0; i < 4; i++) {
-        total += m->hart(i).instret();
-        delivered += m->hart(i).stats().userVectoredExceptions;
-    }
-    EXPECT_EQ(total, budget);
-    EXPECT_GT(delivered, 0u);
-}
-
-TEST(RelaxedSmoke, FastInterpreterRunsUnderRelaxed)
-{
-    auto m = buildStudy(4, true, true, SchedulerMode::Relaxed);
-    InstCount budget = 80000;
-    MachineRunResult r = m->run(budget);
-    EXPECT_EQ(int(r.reason), int(StopReason::InstLimit));
-    EXPECT_EQ(r.instsExecuted, budget);
-}
-
-TEST(RelaxedSmoke, SingleHartMachineStaysSerial)
-{
-    // A 1-hart machine under any mode is the old serial machine.
-    MachineConfig cfg;
-    cfg.scheduler = SchedulerMode::Relaxed;
-    Machine m(cfg);
-    testutil::BareMachine ref;
-    Assembler a(testutil::kTestOrigin);
-    a.li(T0, 7);
-    a.addiu(T0, T0, 35);
-    a.hcall(0);
-    Program p = a.finalize();
-    m.load(p);
-    ref.machine.load(p);
-    m.hart(0).setPc(testutil::kTestOrigin);
-    ref.cpu().setPc(testutil::kTestOrigin);
-    MachineRunResult rm = m.run(1000);
-    MachineRunResult rr = ref.machine.run(1000);
-    EXPECT_EQ(rm.instsExecuted, rr.instsExecuted);
-    EXPECT_EQ(m.hart(0).reg(T0), 42u);
-}
-
-// ---------------------------------------------------------------------------
-// 7. UEXC_PARALLEL resolution (SchedulerMode::Auto).
+// 6. UEXC_PARALLEL resolution (SchedulerMode::Auto).
 // ---------------------------------------------------------------------------
 
 /** Save/restore the env var around a test so running the suite under
@@ -671,13 +616,25 @@ TEST_F(EnvOverride, AutoResolvesFromEnvironment)
     EXPECT_EQ(resolvedWith("serial"), SchedulerMode::Serial);
     EXPECT_EQ(resolvedWith("1"), SchedulerMode::Barrier);
     EXPECT_EQ(resolvedWith("barrier"), SchedulerMode::Barrier);
-    EXPECT_EQ(resolvedWith("2"), SchedulerMode::Relaxed);
-    EXPECT_EQ(resolvedWith("relaxed"), SchedulerMode::Relaxed);
+    // Any other value, "2" and "relaxed" included, is fatal and names
+    // the accepted values.
+    for (const char *bad : {"2", "relaxed", "", "yes"}) {
+        try {
+            resolvedWith(bad);
+            ADD_FAILURE() << "UEXC_PARALLEL='" << bad << "' resolved";
+        } catch (const FatalError &e) {
+            EXPECT_NE(std::string(e.what()).find("0, serial, 1, barrier"),
+                      std::string::npos)
+                << e.what();
+        }
+    }
 }
 
 TEST_F(EnvOverride, ExplicitModeBeatsEnvironment)
 {
-    setenv("UEXC_PARALLEL", "2", 1);
+    // An explicit mode never reads the variable, so even a value that
+    // Auto would reject is ignored.
+    setenv("UEXC_PARALLEL", "bogus", 1);
     MachineConfig cfg;
     cfg.scheduler = SchedulerMode::Barrier;
     Machine m(cfg);
