@@ -318,26 +318,31 @@ buildPageBatch(const PreCopySource &source,
     return w.finish();
 }
 
+/** The receiver's copy of the source's memory: one buffer per page
+ *  that some batch delivered. A page no batch delivered was zero at
+ *  the initial pass and never dirtied, so it is still zero. */
+struct PageStore
+{
+    std::uint64_t memBytes;
+    std::vector<std::vector<Byte>> pages;
+};
+
 void
-applyPageBatch(const std::vector<Byte> &batch, std::vector<Byte> &store)
+applyPageBatch(const std::vector<Byte> &batch, PageStore &store)
 {
     sim::SnapshotImage img(batch);
     sim::SnapshotReader r = img.section(kTagPreCopyPages);
     std::uint64_t mem_bytes = r.u64();
-    if (mem_bytes != store.size())
+    if (mem_bytes != store.memBytes)
         r.fail("pre-copy batch memory size mismatch");
     std::uint32_t count = r.u32();
-    std::size_t total_pages =
-        (store.size() + sim::kSnapshotPageBytes - 1) /
-        sim::kSnapshotPageBytes;
     for (std::uint32_t i = 0; i < count; i++) {
         std::uint32_t p = r.u32();
-        if (p >= total_pages)
+        if (p >= store.pages.size())
             r.fail("pre-copy page index out of range");
-        std::size_t len = pageLen(mem_bytes, p);
-        r.bytes(store.data() +
-                    std::size_t(p) * sim::kSnapshotPageBytes,
-                len);
+        std::vector<Byte> &page = store.pages[p];
+        page.resize(pageLen(mem_bytes, p));
+        r.bytes(page.data(), page.size());
     }
     r.expectEnd();
 }
@@ -373,7 +378,7 @@ buildControlImage(const std::vector<Byte> &full)
  *  the bit-identity guarantee of the pre-copy path. */
 std::vector<Byte>
 spliceControlImage(const std::vector<Byte> &control,
-                   const std::vector<Byte> &store)
+                   const PageStore &store)
 {
     sim::SnapshotImage img(control);
     sim::SnapshotReader ref = img.section(kTagMemoryRef);
@@ -385,14 +390,17 @@ spliceControlImage(const std::vector<Byte> &control,
     sim::SnapshotWriter w;
     for (const sim::SnapshotSection &s : img.sections()) {
         if (s.tag == kTagMemoryRef) {
+            // only delivered pages are read or scanned, so the
+            // splice costs what the batches carried, not memBytes
             sim::writeMemorySection(
-                w, sim::kSnapshotMemoryTag, store.size(),
+                w, sim::kSnapshotMemoryTag, store.memBytes,
                 [&store](std::uint32_t p, Byte *dst, std::size_t len) {
-                    std::memcpy(dst,
-                                store.data() +
-                                    std::size_t(p) *
-                                        sim::kSnapshotPageBytes,
-                                len);
+                    std::memcpy(dst, store.pages[p].data(), len);
+                },
+                [&store](std::uint32_t p, std::size_t) {
+                    const std::vector<Byte> &page = store.pages[p];
+                    return std::all_of(page.begin(), page.end(),
+                                       [](Byte b) { return b == 0; });
                 });
         } else {
             w.beginSection(s.tag);
@@ -443,6 +451,37 @@ accumulateStats(TransportStats &into, const TransportStats &s)
         into.retryHistogram[i] += s.retryHistogram[i];
 }
 
+/** Pre-copy @p src (a Machine or a Rig) into @p dst, reading pages
+ *  and write versions straight from the source's memory @p mem. */
+template <class Guest>
+MigrationResult
+preCopyGuest(Guest &src, Guest &dst, sim::PhysMemory &mem,
+             std::function<void()> run_slice,
+             const MigrationConfig &config, const PreCopyConfig &precopy)
+{
+    auto base = [](std::uint32_t p) {
+        return Addr(std::size_t(p) * sim::kSnapshotPageBytes);
+    };
+    PreCopySource source;
+    source.memBytes = mem.size();
+    source.readPage = [&mem, base](std::uint32_t p, Byte *dst_buf,
+                                   std::size_t len) {
+        mem.readBlock(base(p), dst_buf, len);
+    };
+    source.pageVersion = [&mem, base](std::uint32_t p) {
+        return mem.pageVersion(base(p));
+    };
+    source.pageIsZero = [&mem, base](std::uint32_t p, std::size_t len) {
+        return mem.blockIsZero(base(p), len);
+    };
+    source.runSlice = std::move(run_slice);
+    source.checkpoint = [&src] { return src.checkpoint(); };
+    return migrateImagePreCopy(
+        source,
+        [&dst](const std::vector<Byte> &image) { dst.restore(image); },
+        config, precopy);
+}
+
 } // namespace
 
 MigrationResult
@@ -459,7 +498,8 @@ migrateImagePreCopy(const PreCopySource &source,
         (std::size_t(source.memBytes) + sim::kSnapshotPageBytes - 1) /
         sim::kSnapshotPageBytes;
     std::vector<std::uint32_t> sent_version(total_pages, 0);
-    std::vector<Byte> store(std::size_t(source.memBytes), 0);
+    PageStore store{source.memBytes,
+                    std::vector<std::vector<Byte>>(total_pages)};
 
     // Each transfer (round batches, residual, control image) is its
     // own session over a seed derived from the configured stream, so
@@ -513,12 +553,9 @@ migrateImagePreCopy(const PreCopySource &source,
         std::vector<std::uint32_t> live;
         for (std::size_t p = 0; p < total_pages; p++) {
             sent_version[p] = source.pageVersion(std::uint32_t(p));
-            std::size_t len = pageLen(source.memBytes,
-                                      std::uint32_t(p));
-            bool zero = source.pageIsZero
-                            ? source.pageIsZero(std::uint32_t(p), len)
-                            : false;
-            if (!zero)
+            if (!source.pageIsZero(std::uint32_t(p),
+                                   pageLen(source.memBytes,
+                                           std::uint32_t(p))))
                 live.push_back(std::uint32_t(p));
         }
         applyPageBatch(ship(buildPageBatch(source, live), false),
@@ -590,28 +627,7 @@ migrateMachinePreCopy(sim::Machine &src, sim::Machine &dst,
                       const PreCopyConfig &precopy,
                       const std::function<void()> &run_slice)
 {
-    sim::PhysMemory &mem = src.mem();
-    PreCopySource source;
-    source.memBytes = mem.size();
-    source.readPage = [&mem](std::uint32_t p, Byte *dst_buf,
-                             std::size_t len) {
-        mem.readBlock(Addr(std::size_t(p) * sim::kSnapshotPageBytes),
-                      dst_buf, len);
-    };
-    source.pageVersion = [&mem](std::uint32_t p) {
-        return mem.pageVersion(Addr(std::size_t(p) *
-                                    sim::kSnapshotPageBytes));
-    };
-    source.pageIsZero = [&mem](std::uint32_t p, std::size_t len) {
-        return mem.blockIsZero(
-            Addr(std::size_t(p) * sim::kSnapshotPageBytes), len);
-    };
-    source.runSlice = run_slice;
-    source.checkpoint = [&src] { return src.checkpoint(); };
-    return migrateImagePreCopy(
-        source,
-        [&dst](const std::vector<Byte> &image) { dst.restore(image); },
-        config, precopy);
+    return preCopyGuest(src, dst, src.mem(), run_slice, config, precopy);
 }
 
 MigrationResult
@@ -620,31 +636,12 @@ migrateRigPreCopy(chaos::Rig &src, chaos::Rig &dst,
                   const PreCopyConfig &precopy,
                   unsigned ops_per_slice)
 {
-    sim::Machine &machine = src.machine();
-    sim::PhysMemory &mem = machine.mem();
-    PreCopySource source;
-    source.memBytes = mem.size();
-    source.readPage = [&mem](std::uint32_t p, Byte *dst_buf,
-                             std::size_t len) {
-        mem.readBlock(Addr(std::size_t(p) * sim::kSnapshotPageBytes),
-                      dst_buf, len);
-    };
-    source.pageVersion = [&mem](std::uint32_t p) {
-        return mem.pageVersion(Addr(std::size_t(p) *
-                                    sim::kSnapshotPageBytes));
-    };
-    source.pageIsZero = [&mem](std::uint32_t p, std::size_t len) {
-        return mem.blockIsZero(
-            Addr(std::size_t(p) * sim::kSnapshotPageBytes), len);
-    };
-    source.runSlice = [&src, ops_per_slice] {
-        src.runTo(std::min(chaos::kTotalOps,
-                           src.cursor() + ops_per_slice));
-    };
-    source.checkpoint = [&src] { return src.checkpoint(); };
-    return migrateImagePreCopy(
-        source,
-        [&dst](const std::vector<Byte> &image) { dst.restore(image); },
+    return preCopyGuest(
+        src, dst, src.machine().mem(),
+        [&src, ops_per_slice] {
+            src.runTo(std::min(chaos::kTotalOps,
+                               src.cursor() + ops_per_slice));
+        },
         config, precopy);
 }
 

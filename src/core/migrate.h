@@ -279,7 +279,7 @@ struct PreCopySource
         readPage;
     /** Current write-version of a page (PhysMemory::pageVersion). */
     std::function<std::uint32_t(std::uint32_t page)> pageVersion;
-    /** Optional fast zero predicate (PhysMemory::blockIsZero). */
+    /** Whether a page is all zero (PhysMemory::blockIsZero). */
     std::function<bool(std::uint32_t page, std::size_t len)> pageIsZero;
     /** Run the guest while a round's pages are "in flight". */
     std::function<void()> runSlice;

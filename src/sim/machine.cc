@@ -549,7 +549,9 @@ Machine::checkpoint() const
     w.endSection();
 
     // Physical memory with zero-page elision: only pages with any
-    // nonzero byte are stored (strictly increasing page indices).
+    // nonzero byte are stored (strictly increasing page indices);
+    // blockIsZero reads only pages written since they were last
+    // known zero.
     // PhysMemory starts zeroed and restore re-zeroes, so the sparse
     // set reproduces the full contents. The serializer is shared with
     // the pre-copy migration receiver so both sides produce
@@ -618,7 +620,9 @@ Machine::restore(const std::vector<Byte> &image)
         PhysMemory::PageBytes;
     // Zero everything, then lay down the stored pages. clearRange and
     // writeBlock both bump page versions, so any predecoded page in
-    // any hart is invalidated by the restore itself.
+    // any hart is invalidated by the restore itself. clearRange skips
+    // the memset of pages already known zero, so a restore into a
+    // fresh twin costs what the image holds, not the memory size.
     mem_->clearRange(0, mem_->size());
     std::vector<Byte> page(PhysMemory::PageBytes);
     std::uint32_t prev = 0;

@@ -9,7 +9,8 @@
 namespace uexc::sim {
 
 PhysMemory::PhysMemory(std::size_t size)
-    : data_(size, 0), pageVersions_((size + PageBytes - 1) / PageBytes, 0)
+    : data_(size, 0), pageVersions_((size + PageBytes - 1) / PageBytes, 0),
+      zeroVersions_(pageVersions_.size(), 0)
 {
     if (size == 0 || size % 4 != 0)
         UEXC_FATAL("physical memory size %zu is not a positive word "
@@ -103,16 +104,18 @@ PhysMemory::blockIsZero(Addr paddr, std::size_t bytes) const
     if (paddr + bytes > data_.size())
         UEXC_PANIC("zero scan at 0x%08x size %zu out of range",
                    paddr, bytes);
-    // in-place memcmp against a zeroed page, one page at a time: the
-    // snapshot writer scans all of physical memory with this, so no
-    // copy and no per-byte loop
+    // in-place memcmp against a zeroed page, one page at a time, and
+    // only for pages not known zero: the snapshot writer scans all of
+    // physical memory with this, so its cost follows the pages
+    // written since they were last cleared, not the memory size
     static const std::vector<Byte> zeros(PageBytes, 0);
-    while (bytes > 0) {
-        std::size_t chunk = std::min(bytes, PageBytes);
-        if (std::memcmp(&data_[paddr], zeros.data(), chunk) != 0)
+    std::size_t at = paddr, end = std::size_t(paddr) + bytes;
+    while (at < end) {
+        std::size_t chunk = std::min(end, (at | (PageBytes - 1)) + 1) - at;
+        if (!pageKnownZero(Addr(at)) &&
+            std::memcmp(&data_[at], zeros.data(), chunk) != 0)
             return false;
-        paddr += Addr(chunk);
-        bytes -= chunk;
+        at += chunk;
     }
     return true;
 }
@@ -122,8 +125,21 @@ PhysMemory::clearRange(Addr paddr, std::size_t bytes)
 {
     if (paddr + bytes > data_.size())
         UEXC_PANIC("clear at 0x%08x size %zu out of range", paddr, bytes);
-    std::memset(&data_[paddr], 0, bytes);
-    touchPages(paddr, bytes);
+    std::size_t at = paddr, end = std::size_t(paddr) + bytes;
+    while (at < end) {
+        std::size_t page_end =
+            std::min(data_.size(), (at | (PageBytes - 1)) + 1);
+        std::size_t chunk = std::min(end, page_end) - at;
+        std::size_t p = at >> PageShift;
+        bool whole = chunk == page_end - (p << PageShift);
+        if (!(whole && pageKnownZero(Addr(at))))
+            std::memset(&data_[at], 0, chunk);
+        // the bump still invalidates predecoded copies of the page
+        bumpVersion(Addr(at));
+        if (whole)
+            zeroVersions_[p] = pageVersions_[p];
+        at += chunk;
+    }
 }
 
 } // namespace uexc::sim

@@ -51,11 +51,30 @@ class PhysMemory
     /** Bulk copy out of memory. */
     void readBlock(Addr paddr, void *dst, std::size_t bytes) const;
 
-    /** Zero a range. */
+    /**
+     * Zero a range. Every page it touches gets a version bump; a page
+     * it covers whole becomes known zero, and a page that was already
+     * known zero is not rewritten.
+     */
     void clearRange(Addr paddr, std::size_t bytes);
 
-    /** True iff every byte in the range is zero (snapshot elision). */
+    /** True iff every byte in the range is zero (snapshot elision).
+     *  Known-zero pages are skipped without reading them. */
     bool blockIsZero(Addr paddr, std::size_t bytes) const;
+
+    /**
+     * True iff the page containing @p paddr is zero without looking
+     * at its bytes: no store has reached it since construction or
+     * since a clearRange covering the whole page. False says nothing
+     * (a page written back to zero is found only by a scan). Rests on
+     * the page's 32-bit write version not wrapping between the clear
+     * and the check, the same assumption the predecode cache makes.
+     */
+    bool pageKnownZero(Addr paddr) const
+    {
+        std::size_t p = paddr >> PageShift;
+        return zeroVersions_[p] == pageVersions_[p];
+    }
 
     /**
      * Write version of the page containing @p paddr: bumped by every
@@ -93,6 +112,8 @@ class PhysMemory
 
     std::vector<Byte> data_;
     std::vector<std::uint32_t> pageVersions_;
+    /** Per page: the write version at which it was last known zero. */
+    std::vector<std::uint32_t> zeroVersions_;
 };
 
 } // namespace uexc::sim

@@ -24,17 +24,26 @@ constexpr std::size_t kFooterBytes = 8;
 /** Per-section framing: tag, length (before payload), CRC (after). */
 constexpr std::size_t kSectionFrameBytes = 12;
 
-std::array<std::uint32_t, 256>
-makeCrcTable()
+/** Slicing-by-8 tables: t[0] is the classic byte-at-a-time table
+ *  for the reflected polynomial, and t[k][b] is t[0][b] carried
+ *  through k more zero bytes, so eight lookups fold eight input
+ *  bytes at once. */
+using CrcTables = std::array<std::array<std::uint32_t, 256>, 8>;
+
+CrcTables
+makeCrcTables()
 {
-    std::array<std::uint32_t, 256> table{};
+    CrcTables t{};
     for (std::uint32_t i = 0; i < 256; i++) {
         std::uint32_t c = i;
         for (int k = 0; k < 8; k++)
             c = (c & 1) ? 0xedb88320u ^ (c >> 1) : c >> 1;
-        table[i] = c;
+        t[0][i] = c;
     }
-    return table;
+    for (std::uint32_t i = 0; i < 256; i++)
+        for (unsigned k = 1; k < 8; k++)
+            t[k][i] = (t[k - 1][i] >> 8) ^ t[0][t[k - 1][i] & 0xffu];
+    return t;
 }
 
 void
@@ -58,10 +67,18 @@ getLe32(const Byte *p)
 std::uint32_t
 snapshotCrc32(const Byte *data, std::size_t len)
 {
-    static const std::array<std::uint32_t, 256> table = makeCrcTable();
+    static const CrcTables t = makeCrcTables();
     std::uint32_t crc = 0xffffffffu;
-    for (std::size_t i = 0; i < len; i++)
-        crc = table[(crc ^ data[i]) & 0xffu] ^ (crc >> 8);
+    for (; len >= 8; data += 8, len -= 8) {
+        std::uint32_t lo = crc ^ getLe32(data);
+        std::uint32_t hi = getLe32(data + 4);
+        crc = t[7][lo & 0xffu] ^ t[6][(lo >> 8) & 0xffu] ^
+              t[5][(lo >> 16) & 0xffu] ^ t[4][lo >> 24] ^
+              t[3][hi & 0xffu] ^ t[2][(hi >> 8) & 0xffu] ^
+              t[1][(hi >> 16) & 0xffu] ^ t[0][hi >> 24];
+    }
+    for (; len > 0; data++, len--)
+        crc = t[0][(crc ^ *data) & 0xffu] ^ (crc >> 8);
     return crc ^ 0xffffffffu;
 }
 
@@ -101,15 +118,7 @@ writeMemorySection(
         std::size_t base = p * kSnapshotPageBytes;
         std::size_t len = std::min(kSnapshotPageBytes,
                                    std::size_t(memBytes) - base);
-        bool zero;
-        if (pageIsZero) {
-            zero = pageIsZero(std::uint32_t(p), len);
-        } else {
-            readPage(std::uint32_t(p), page.data(), len);
-            zero = std::all_of(page.begin(), page.begin() + len,
-                               [](Byte b) { return b == 0; });
-        }
-        if (!zero)
+        if (!pageIsZero(std::uint32_t(p), len))
             live.push_back(std::uint32_t(p));
     }
     w.beginSection(tag);

@@ -105,18 +105,19 @@ constexpr std::size_t kSnapshotPageBytes = 4096;
  * pre-copy control image's CRC check rests on.
  *
  * @p readPage copies page @p page (exactly @p len bytes, tail page
- * may be short) into @p dst. @p pageIsZero, when provided, is a fast
- * elision predicate (PhysMemory::blockIsZero); when null the written
- * bytes are scanned instead.
+ * may be short) into @p dst; it is called for live pages only.
+ * @p pageIsZero is the elision predicate (PhysMemory::blockIsZero on
+ * the source side), so the caller decides what a zero test costs.
  */
 void writeMemorySection(
     class SnapshotWriter &w, Word tag, std::uint64_t memBytes,
     const std::function<void(std::uint32_t page, Byte *dst,
                              std::size_t len)> &readPage,
     const std::function<bool(std::uint32_t page, std::size_t len)>
-        &pageIsZero = nullptr);
+        &pageIsZero);
 
-/** CRC-32 (IEEE 802.3, reflected 0xEDB88320) of a byte range. */
+/** CRC-32 (IEEE 802.3, reflected 0xEDB88320) of a byte range, the
+ *  same values as zlib's crc32(); computed slicing-by-8. */
 std::uint32_t snapshotCrc32(const Byte *data, std::size_t len);
 
 /**

@@ -71,6 +71,118 @@ TEST(PhysMemory, ClearRange)
     EXPECT_EQ(mem.readWord(0x24), 0u);
 }
 
+// -- known-zero pages ------------------------------------------------------
+
+constexpr std::size_t kPage = PhysMemory::PageBytes;
+
+TEST(PhysMemoryKnownZero, FreshPageIsKnownZero)
+{
+    PhysMemory mem(3 * kPage);
+    for (Addr pa = 0; pa < mem.size(); pa += kPage) {
+        EXPECT_TRUE(mem.pageKnownZero(pa));
+        EXPECT_TRUE(mem.blockIsZero(pa, kPage));
+    }
+    EXPECT_TRUE(mem.blockIsZero(0, mem.size()));
+}
+
+TEST(PhysMemoryKnownZero, WrittenPageIsScanned)
+{
+    PhysMemory mem(3 * kPage);
+    mem.writeByte(Addr(kPage + 7), 1);
+    EXPECT_TRUE(mem.pageKnownZero(0));
+    EXPECT_FALSE(mem.pageKnownZero(Addr(kPage)));
+    EXPECT_TRUE(mem.pageKnownZero(Addr(2 * kPage)));
+    EXPECT_FALSE(mem.blockIsZero(Addr(kPage), kPage));
+    EXPECT_FALSE(mem.blockIsZero(0, mem.size()));
+    // the scan reads the bytes of the range, not a page-wide flag
+    EXPECT_TRUE(mem.blockIsZero(Addr(kPage), 7));
+    EXPECT_TRUE(mem.blockIsZero(Addr(kPage + 8), kPage - 8));
+    EXPECT_FALSE(mem.blockIsZero(Addr(kPage - 4), 12));
+}
+
+TEST(PhysMemoryKnownZero, PageWrittenBackToZeroIsFoundByTheScan)
+{
+    PhysMemory mem(3 * kPage);
+    mem.writeWord(Addr(kPage + 16), 0xdeadbeefu);
+    mem.writeWord(Addr(kPage + 16), 0);
+    EXPECT_FALSE(mem.pageKnownZero(Addr(kPage)));
+    EXPECT_TRUE(mem.blockIsZero(Addr(kPage), kPage));
+    EXPECT_TRUE(mem.blockIsZero(0, mem.size()));
+}
+
+TEST(PhysMemoryKnownZero, WholePageClearMakesItKnownZeroAndBumpsItsVersion)
+{
+    PhysMemory mem(3 * kPage);
+    mem.writeWord(Addr(kPage + 16), 0xdeadbeefu);
+    std::uint32_t v = mem.pageVersion(Addr(kPage));
+    mem.clearRange(Addr(kPage), kPage);
+    EXPECT_TRUE(mem.pageKnownZero(Addr(kPage)));
+    EXPECT_NE(mem.pageVersion(Addr(kPage)), v);
+    EXPECT_EQ(mem.readWord(Addr(kPage + 16)), 0u);
+
+    // clearing a known-zero page again writes nothing, but the bump
+    // still invalidates predecoded copies of the page
+    v = mem.pageVersion(Addr(kPage));
+    mem.clearRange(Addr(kPage), kPage);
+    EXPECT_TRUE(mem.pageKnownZero(Addr(kPage)));
+    EXPECT_NE(mem.pageVersion(Addr(kPage)), v);
+
+    // a clear across pages covers the inner page whole and its
+    // neighbours in part
+    for (Addr pa : {Addr(0x10), Addr(kPage + 4), Addr(2 * kPage + 4)})
+        mem.writeWord(pa, 1);
+    mem.clearRange(8, 2 * kPage);
+    EXPECT_FALSE(mem.pageKnownZero(0));
+    EXPECT_TRUE(mem.pageKnownZero(Addr(kPage)));
+    EXPECT_FALSE(mem.pageKnownZero(Addr(2 * kPage)));
+    EXPECT_TRUE(mem.blockIsZero(0, mem.size()));
+}
+
+TEST(PhysMemoryKnownZero, PartialClearDoesNotMakeThePageKnownZero)
+{
+    PhysMemory mem(3 * kPage);
+    mem.writeWord(Addr(kPage + 16), 0xdeadbeefu);
+    std::uint32_t v = mem.pageVersion(Addr(kPage));
+    mem.clearRange(Addr(kPage), kPage - 4); // all but the last word
+    EXPECT_FALSE(mem.pageKnownZero(Addr(kPage)));
+    EXPECT_NE(mem.pageVersion(Addr(kPage)), v);
+    EXPECT_TRUE(mem.blockIsZero(Addr(kPage), kPage));
+
+    mem.writeWord(Addr(2 * kPage - 4), 7);
+    mem.clearRange(Addr(kPage + 4), kPage - 4); // all but the first
+    EXPECT_FALSE(mem.pageKnownZero(Addr(kPage)));
+    EXPECT_EQ(mem.readWord(Addr(2 * kPage - 4)), 0u);
+}
+
+TEST(PhysMemoryKnownZero, ShortTailPageBehavesTheSame)
+{
+    // a memory size that is not a page multiple ends in a 64-byte page
+    constexpr std::size_t kTail = 64;
+    PhysMemory mem(kPage + kTail);
+    const Addr tail = Addr(kPage);
+    EXPECT_TRUE(mem.pageKnownZero(tail));
+    EXPECT_TRUE(mem.blockIsZero(tail, kTail));
+
+    mem.writeWord(tail + 60, 5);
+    EXPECT_FALSE(mem.pageKnownZero(tail));
+    EXPECT_FALSE(mem.blockIsZero(tail, kTail));
+    mem.writeWord(tail + 60, 0);
+    EXPECT_FALSE(mem.pageKnownZero(tail));
+    EXPECT_TRUE(mem.blockIsZero(tail, kTail));
+
+    mem.writeWord(tail + 60, 5);
+    mem.clearRange(tail, kTail - 4);
+    EXPECT_FALSE(mem.pageKnownZero(tail));
+    EXPECT_EQ(mem.readWord(tail + 60), 5u);
+
+    std::uint32_t v = mem.pageVersion(tail);
+    mem.clearRange(tail, kTail); // the whole of the short page
+    EXPECT_TRUE(mem.pageKnownZero(tail));
+    EXPECT_NE(mem.pageVersion(tail), v);
+    EXPECT_EQ(mem.readWord(tail + 60), 0u);
+    EXPECT_TRUE(mem.blockIsZero(0, mem.size()));
+}
+
 TEST_F(QuietMemory, OutOfRangeIsPanic)
 {
     PhysMemory mem(4096);

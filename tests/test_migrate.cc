@@ -851,6 +851,55 @@ TEST(MigratePreCopy, GiveUpAfterMaxRoundsStillRestoresBitIdentically)
     EXPECT_EQ(dst.checkpoint(), a.checkpoint());
 }
 
+/**
+ * A page the guest makes nonzero in one dirty round and zero again in
+ * the next reaches the receiver as a delivered page of zeros. The
+ * splice must scan it and elide it, so the restored image is the
+ * stop-and-copy checkpoint of the same paused state, byte for byte.
+ */
+TEST(MigratePreCopy, PageZeroedAgainBeforeStopAndCopyIsElided)
+{
+    MachineConfig cfg;
+    cfg.memBytes = 1 << 18;
+    Machine src(cfg), dst(cfg);
+    fuzzutil::installFuzzSkipHandlers(src);
+    src.load(fuzzutil::buildFuzzProgram(5));
+    src.hart(0).setPc(testutil::kTestOrigin);
+    src.run(1000);
+
+    const Addr page = Addr(cfg.memBytes - PhysMemory::PageBytes);
+    ASSERT_TRUE(src.mem().blockIsZero(page, PhysMemory::PageBytes));
+
+    migrate::MigrationConfig mc;
+    mc.transport = lossyTransport(0x2E60);
+    migrate::PreCopyConfig pc;
+    pc.maxRounds = 2;
+    pc.convergePages = 0; // ship every round's dirty set
+    unsigned round = 0;
+    migrate::MigrationResult result = migrate::migrateMachinePreCopy(
+        src, dst, mc, pc, [&src, &round, page] {
+            src.mem().writeWord(page + 0x40, round++ == 0 ? 0xfeedu : 0);
+            src.run(100);
+        });
+    ASSERT_TRUE(result.succeeded) << result.error;
+    EXPECT_EQ(result.precopy.roundsRun, 2u);
+
+    std::vector<Byte> stopcopy = src.checkpoint();
+    std::vector<Byte> restored = dst.checkpoint();
+    EXPECT_EQ(restored, stopcopy);
+    SnapshotImage img(restored);
+    SnapshotReader r = img.section(kSnapshotMemoryTag);
+    ASSERT_EQ(r.u64(), cfg.memBytes);
+    std::uint32_t live = r.u32();
+    std::vector<Byte> buf(PhysMemory::PageBytes);
+    for (std::uint32_t i = 0; i < live; i++) {
+        std::uint32_t p = r.u32();
+        EXPECT_NE(p, page / PhysMemory::PageBytes) << "zero page shipped";
+        r.bytes(buf.data(), buf.size());
+    }
+    r.expectEnd();
+}
+
 TEST(MigratePreCopy, PartitionLeavesTheSourceCampaignRunning)
 {
     chaos::Reference ref = chaos::makeReference();

@@ -73,6 +73,55 @@ resealImage(std::vector<Byte> &img)
               snapshotCrc32(img.data(), img.size() - 4));
 }
 
+/** Bit-at-a-time CRC-32, the reference the table-driven one must
+ *  match at every length and alignment. */
+std::uint32_t
+referenceCrc32(const Byte *data, std::size_t len)
+{
+    std::uint32_t crc = 0xffffffffu;
+    for (std::size_t i = 0; i < len; i++) {
+        crc ^= data[i];
+        for (int k = 0; k < 8; k++)
+            crc = (crc & 1) ? 0xedb88320u ^ (crc >> 1) : crc >> 1;
+    }
+    return crc ^ 0xffffffffu;
+}
+
+TEST(SnapshotCrc, KnownAnswers)
+{
+    const char check[] = "123456789";
+    EXPECT_EQ(snapshotCrc32(reinterpret_cast<const Byte *>(check), 9),
+              0xCBF43926u);
+    EXPECT_EQ(snapshotCrc32(nullptr, 0), 0u);
+}
+
+TEST(SnapshotCrc, MatchesReferenceAtEveryShortLengthAndOffset)
+{
+    // lengths 0-67 cover the empty input, tails alone, and several
+    // eight-byte blocks followed by every tail length; offsets 0-7
+    // cover every alignment of the block loads
+    std::mt19937 rng(0xC4C);
+    std::vector<Byte> buf(8 + 67);
+    for (Byte &b : buf)
+        b = Byte(rng());
+    for (std::size_t off = 0; off < 8; off++)
+        for (std::size_t len = 0; len <= 67; len++)
+            ASSERT_EQ(snapshotCrc32(buf.data() + off, len),
+                      referenceCrc32(buf.data() + off, len))
+                << "offset " << off << " length " << len;
+}
+
+TEST(SnapshotCrc, MatchesReferenceOnAnUnalignedMebibyte)
+{
+    constexpr std::size_t kLen = std::size_t(1) << 20;
+    std::mt19937 rng(0x1F1B);
+    std::vector<Byte> buf(kLen + 3);
+    for (Byte &b : buf)
+        b = Byte(rng());
+    EXPECT_EQ(snapshotCrc32(buf.data() + 3, kLen),
+              referenceCrc32(buf.data() + 3, kLen));
+}
+
 TEST(SnapshotFormat, PrimitivesRoundTrip)
 {
     const Word tag1 = snapshotTag('T', 'S', 'T', '1');
@@ -526,6 +575,38 @@ TEST(SnapshotMachine, RestoreInvalidatesPredecodedPages)
            "restore";
 }
 
+/**
+ * Restore must leave memory exactly as the image says, whatever the
+ * target held before: a twin whose memory holds a different program
+ * and stale nonzero words on pages the source has zero (and on pages
+ * it does not) must read back byte for byte as the source, and
+ * checkpoint to the same image.
+ */
+TEST(SnapshotMachine, RestoreOverDirtyTwinIsExact)
+{
+    MachineConfig cfg;
+    cfg.memBytes = 1 << 18;
+    Machine src(cfg), twin(cfg);
+    fuzzutil::installFuzzSkipHandlers(src);
+    src.load(fuzzutil::buildFuzzProgram(7));
+    src.hart(0).setPc(testutil::kTestOrigin);
+    src.run(2000);
+    std::vector<Byte> img = src.checkpoint();
+
+    twin.load(fuzzutil::buildFuzzProgram(8));
+    std::mt19937 rng(0xD1E7);
+    for (Addr pa = 0; pa < cfg.memBytes; pa += 3 * PhysMemory::PageBytes)
+        twin.mem().writeWord(pa + 4 * Addr(rng() % 1024), rng() | 1u);
+    twin.mem().clearRange(PhysMemory::PageBytes, 64); // a partial clear
+
+    twin.restore(img);
+    std::vector<Byte> want(cfg.memBytes), got(cfg.memBytes);
+    src.mem().readBlock(0, want.data(), want.size());
+    twin.mem().readBlock(0, got.data(), got.size());
+    EXPECT_TRUE(got == want) << "restored memory differs from the source";
+    EXPECT_EQ(twin.checkpoint(), img);
+}
+
 /** Restoring an image into a machine with a different shape, or with
  *  an unconsumed/unregistered section, is a structured error. */
 TEST(SnapshotMachine, ShapeMismatchesAreRejected)
@@ -630,6 +711,60 @@ TEST(SnapshotChaos, SpuriousRefillInStubRestoreWindowIsDeferred)
     rig.run();
     EXPECT_EQ(rig.words(), want);
     EXPECT_FALSE(rig.env().demoted());
+}
+
+/**
+ * The image bytes are pinned: a fixed chaos-rig checkpoint, taken
+ * mid-campaign with a seeded injection event pending, must keep its
+ * size and the CRC of every section's payload. A change to the CRC,
+ * the zero-page scan or the memory serializer that moves one byte
+ * fails here; a deliberate format change bumps kSnapshotVersion and
+ * re-pins the digest. The footer CRC cannot serve as the digest: a
+ * CRC run over a payload followed by that payload's own CRC ends in
+ * the same state whatever the payload bytes, so the footer CRC
+ * depends on the section tags and lengths only.
+ */
+TEST(SnapshotChaos, GoldenImageDigestIsPinned)
+{
+    sim::FaultInjector inj;
+    Rig rig(&inj);
+    rig.runTo(kChaosOps / 4);
+    bool may_diagnose = false;
+    for (const sim::FaultEvent &e :
+         planEvents(0x601E, 200000, rig, &may_diagnose))
+        inj.addEvent(e);
+    ASSERT_FALSE(may_diagnose);
+    rig.runTo(kChaosOps / 2);
+    std::vector<Byte> img = rig.checkpoint();
+
+    struct Pin
+    {
+        Word tag;
+        std::size_t length;
+        std::uint32_t crc;
+    };
+    const std::vector<Pin> want = {
+        {sim::snapshotTag('C', 'F', 'G', ' '), 25, 0x3930cec5u},
+        {sim::kSnapshotMemoryTag, 45112, 0x7858f69cu},
+        {sim::snapshotTag('S', 'C', 'H', 'D'), 4, 0x2144df1cu},
+        {sim::snapshotTag('H', 'R', 'T', '\0'), 1052, 0x9b42dee3u}, // hart 0
+        {sim::snapshotTag('K', 'E', 'R', 'N'), 351, 0x5f2e978du},
+        {sim::snapshotTag('U', 'E', 'N', '\0'), 81, 0x36ffe337u},
+        {sim::snapshotTag('F', 'I', 'N', 'J'), 36, 0xf831f13du},
+        {sim::snapshotTag('C', 'R', 'I', 'G'), 8, 0x0d94a1f7u},
+    };
+    EXPECT_EQ(sim::kSnapshotVersion, 3u);
+    EXPECT_EQ(img.size(), 46785u);
+    sim::SnapshotImage parsed(img);
+    ASSERT_EQ(parsed.sections().size(), want.size());
+    for (std::size_t i = 0; i < want.size(); i++) {
+        const sim::SnapshotSection &sec = parsed.sections()[i];
+        SCOPED_TRACE(sim::snapshotTagName(sec.tag));
+        EXPECT_EQ(sec.tag, want[i].tag);
+        EXPECT_EQ(sec.length, want[i].length);
+        EXPECT_EQ(sim::snapshotCrc32(parsed.sectionData(sec), sec.length),
+                  want[i].crc);
+    }
 }
 
 /** A converging campaign restored from any mid-run checkpoint must
