@@ -29,7 +29,7 @@ pingpong(rt::DeliveryMode mode, Cycles latency, unsigned rounds)
     DsmCluster::Config cfg;
     cfg.mode = mode;
     cfg.bytes = 4 * os::kPageBytes;
-    cfg.networkLatencyCycles = latency;
+    cfg.network.latencyCycles = latency;
     DsmCluster dsm(cfg);
     dsm.write(0, kBase, 0);
     Cycles before = dsm.totalCycles();
@@ -79,7 +79,7 @@ main()
             DsmCluster::Config cfg;
             cfg.mode = rt::DeliveryMode::FastSoftware;
             cfg.bytes = 4 * os::kPageBytes;
-            cfg.networkLatencyCycles = 1000;
+            cfg.network.latencyCycles = 1000;
             cfg.sharedMachine = shared;
             DsmCluster dsm(cfg);
             dsm.write(0, kBase, 0);

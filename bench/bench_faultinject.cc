@@ -82,10 +82,9 @@ dsmMissCost(unsigned loss, unsigned rounds)
 {
     apps::DsmCluster::Config cfg;
     cfg.bytes = 4 * os::kPageBytes;
-    cfg.networkLatencyCycles = 1000;
-    cfg.unreliableNetwork = loss > 0;
-    cfg.networkSeed = 99;
-    cfg.lossPercent = loss;
+    cfg.network.latencyCycles = 1000;
+    cfg.network.seed = 99;
+    cfg.network.lossPercent = loss;
     apps::DsmCluster dsm(cfg);
     constexpr Addr kBase = 0x40000000;
     dsm.write(0, kBase, 0);

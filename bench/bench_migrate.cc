@@ -31,9 +31,9 @@
 
 #include "bench_util.h"
 #include "common/logging.h"
+#include "common/rng.h"
 #include "core/chaos.h"
 #include "core/migrate.h"
-#include "sim/faultinject.h"
 
 using namespace uexc;
 using uexc::bench::banner;
@@ -69,7 +69,7 @@ runMode(unsigned rounds, unsigned iters, std::uint64_t seed_base)
 
         rt::migrate::MigrationConfig mc;
         std::uint64_t chain = seed_base + i;
-        mc.transport.seed = sim::FaultInjector::splitmix64(chain);
+        mc.transport.seed = splitmix64(chain);
         mc.transport.lossPercent = 4;
         mc.transport.corruptPercent = 2;
         mc.transport.delayPercent = 8;

@@ -1,17 +1,16 @@
 /**
  * @file
  * Host-side performance of the simulator itself (google-benchmark):
- * instruction interpretation rate, exception dispatch rate, and the
- * VM facade's access rate. Not a paper artifact — this guards the
- * usability of the reproduction (the GC workloads execute millions
- * of simulated operations).
+ * the instruction interpretation rate. Not a paper artifact — this
+ * guards the usability of the reproduction (the GC workloads execute
+ * millions of simulated operations). The host cost of one exception
+ * and of one facade access is measured end to end by uexc-bench
+ * (exc-storm's core.env.fault_ns_*, gc-table4's facade path).
  */
 
 #include <benchmark/benchmark.h>
 
-#include "core/env.h"
-#include "core/microbench.h"
-#include "os/kernel.h"
+#include "sim/assembler.h"
 #include "sim/machine.h"
 
 using namespace uexc;
@@ -54,41 +53,6 @@ BENCHMARK(BM_InterpreterLoop)
     ->Arg(0)
     ->Arg(1)
     ->ArgName("fast");
-
-void
-BM_FastExceptionDispatch(benchmark::State &state)
-{
-    sim::Machine machine(rt::micro::paperMachineConfig());
-    os::Kernel kernel(machine);
-    kernel.boot();
-    rt::UserEnv env(kernel, rt::DeliveryMode::FastSoftware);
-    env.install(0xffff);
-    env.allocate(0x10000000, os::kPageBytes);
-    env.setHandler([](rt::Fault &f) { f.resumeAt(f.pc() + 4); });
-    env.protect(0x10000000, os::kPageBytes, os::kProtRead);
-    for (auto _ : state)
-        env.store(0x10000000, 1);
-    state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_FastExceptionDispatch);
-
-void
-BM_VmFacadeStore(benchmark::State &state)
-{
-    sim::Machine machine;
-    os::Kernel kernel(machine);
-    kernel.boot();
-    rt::UserEnv env(kernel, rt::DeliveryMode::FastSoftware);
-    env.install(0xffff);
-    env.allocate(0x10000000, 16 * os::kPageBytes);
-    Addr addr = 0x10000000;
-    for (auto _ : state) {
-        env.store(addr, 42);
-        addr = 0x10000000 + ((addr + 4) & 0xffff);
-    }
-    state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_VmFacadeStore);
 
 } // namespace
 

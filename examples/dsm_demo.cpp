@@ -24,7 +24,7 @@ main()
     cfg.nodes = 2;
     cfg.bytes = 4 * os::kPageBytes;
     cfg.mode = rt::DeliveryMode::FastSoftware;
-    cfg.networkLatencyCycles = 2500;   // a 100 us fabric at 25 MHz
+    cfg.network.latencyCycles = 2500;  // a 100 us fabric at 25 MHz
     DsmCluster dsm(cfg);
 
     std::printf("two nodes, one coherent region; every state "

@@ -6,7 +6,6 @@
 #include "common/guesterror.h"
 #include "common/logging.h"
 #include "core/microbench.h"
-#include "sim/faultinject.h"
 #include "sim/snapshot.h"
 
 namespace uexc::apps {
@@ -31,12 +30,15 @@ dsmMachineTag(unsigned node)
 } // namespace
 
 DsmCluster::DsmCluster(const Config &config)
-    : config_(config)
+    : config_(config), link_(config.network)
 {
     if (!isAligned(config.base, kPageBytes) ||
         !isAligned(config.bytes, kPageBytes) || config.nodes < 2) {
         UEXC_FATAL("dsm: bad cluster configuration");
     }
+    if (config.network.corruptPercent != 0)
+        UEXC_FATAL("dsm: protocol messages are unframed and cannot be "
+                   "corrupted; network.corruptPercent must be 0");
 
     unsigned npages = config.bytes / kPageBytes;
     pages_.resize(npages);
@@ -44,8 +46,7 @@ DsmCluster::DsmCluster(const Config &config)
     recvSeq_.assign(std::size_t(config.nodes) * config.nodes, 0);
     stats_.perLinkRetries.assign(
         std::size_t(config.nodes) * config.nodes, 0);
-    stats_.timeoutCapCycles = config.timeoutCapCycles;
-    rng_ = config.networkSeed;
+    stats_.timeoutCapCycles = config.network.timeoutCapCycles;
     for (PageInfo &p : pages_)
         p.states.assign(config.nodes, DsmPageState::Invalid);
 
@@ -138,72 +139,40 @@ DsmCluster::setProtection(unsigned node, Addr page, DsmPageState state,
     pages_[pageIndex(page)].states[node] = state;
 }
 
-void
-DsmCluster::chargeMessage(unsigned node)
-{
-    nodes_[node].env->cpu().charge(config_.networkLatencyCycles);
-    stats_.messages++;
-}
-
 unsigned
 DsmCluster::pairIndex(unsigned from, unsigned to) const
 {
     return from * config_.nodes + to;
 }
 
-bool
-DsmCluster::roll(unsigned pct)
-{
-    return sim::FaultInjector::splitmix64(rng_) % 100 < pct;
-}
-
 void
 DsmCluster::sendMessage(unsigned node, unsigned from, unsigned to)
 {
-    if (!config_.unreliableNetwork) {
-        chargeMessage(node);
-        return;
-    }
-
     unsigned link = pairIndex(from, to);
     std::uint64_t seq = sendSeq_[link]++;
-    Cycles timeout = config_.timeoutCycles;
+    // The receiver accepts the first copy with this sequence number
+    // and drops any duplicate that follows.
+    rt::Delivery d = link_.send(config_.network.latencyCycles, 0,
+                                [this, link, seq](std::size_t) {
+                                    if (seq >= recvSeq_[link])
+                                        recvSeq_[link] = seq + 1;
+                                    return true;
+                                });
     rt::UserEnv &env = *nodes_[node].env;
-
-    for (unsigned attempt = 0;; attempt++) {
-        stats_.messages++;
-        if (roll(config_.lossPercent)) {
-            // Lost in flight: wait out the retransmit timer, back off,
-            // and try again. Protocol state has not been touched yet.
-            if (attempt >= config_.maxRetries) {
-                UEXC_GUEST_ERROR(env.hartId(), env.cpu().pc(), 0,
-                                 "dsm: message %u->%u lost %u times "
-                                 "(network partition?)",
-                                 from, to, attempt + 1);
-            }
-            env.cpu().charge(timeout);
-            stats_.timeouts++;
-            stats_.retries++;
-            stats_.perLinkRetries[link]++;
-            if (timeout > stats_.maxTimeoutCharged)
-                stats_.maxTimeoutCharged = timeout;
-            timeout = std::min<Cycles>(timeout * 2,
-                                       config_.timeoutCapCycles);
-            continue;
-        }
-        Cycles latency = config_.networkLatencyCycles;
-        if (roll(config_.delayPercent))
-            latency += config_.delayCycles;
-        env.cpu().charge(latency);
-        // Delivered: the receiver accepts the first copy with this
-        // sequence number and drops any duplicate that follows.
-        if (seq >= recvSeq_[link])
-            recvSeq_[link] = seq + 1;
-        if (roll(config_.dupPercent)) {
-            stats_.messages++;
-            stats_.duplicatesSuppressed++;
-        }
-        return;
+    env.cpu().charge(d.cycles);
+    stats_.messages += d.sends;
+    stats_.retries += d.retries;
+    stats_.timeouts += d.retries;
+    stats_.perLinkRetries[link] += d.retries;
+    stats_.maxTimeoutCharged =
+        std::max(stats_.maxTimeoutCharged, d.maxTimeout);
+    if (d.duplicated)
+        stats_.duplicatesSuppressed++;
+    if (!d.delivered) {
+        UEXC_GUEST_ERROR(env.hartId(), env.cpu().pc(), 0,
+                         "dsm: message %u->%u lost %u times "
+                         "(network partition?)",
+                         from, to, d.retries + 1);
     }
 }
 
@@ -304,7 +273,7 @@ DsmCluster::checkpoint() const
     w.boolean(config_.sharedMachine);
     w.boolean(config_.fastInterpreter);
     w.boolean(config_.hardwareExtensions);
-    w.boolean(config_.unreliableNetwork);
+    w.boolean(!config_.network.reliable());
     w.u64(config_.memBytes);
     w.endSection();
 
@@ -339,7 +308,7 @@ DsmCluster::checkpoint() const
         w.u64(s);
     for (std::uint64_t s : recvSeq_)
         w.u64(s);
-    w.u64(rng_);
+    w.u64(link_.rngState());
     w.endSection();
 
     unsigned machines = sharedMachine_ ? 1 : nodes();
@@ -379,8 +348,8 @@ DsmCluster::restore(const std::vector<Byte> &image)
     check("fastInterpreter", cfg.boolean(), config_.fastInterpreter);
     check("hardwareExtensions", cfg.boolean(),
           config_.hardwareExtensions);
-    check("unreliableNetwork", cfg.boolean(),
-          config_.unreliableNetwork);
+    check("lossy network", cfg.boolean(),
+          !config_.network.reliable());
     check("memBytes", cfg.u64(), config_.memBytes);
     cfg.expectEnd();
 
@@ -474,7 +443,7 @@ DsmCluster::restore(const std::vector<Byte> &image)
     stats_ = stats;
     sendSeq_ = std::move(send);
     recvSeq_ = std::move(recv);
-    rng_ = rng;
+    link_.setRngState(rng);
 }
 
 Cycles

@@ -26,6 +26,7 @@
 #include <vector>
 
 #include "core/env.h"
+#include "core/link.h"
 #include "os/kernel.h"
 
 namespace uexc::apps {
@@ -46,7 +47,7 @@ struct DsmStats
     std::uint64_t pageTransfers = 0;
     std::uint64_t invalidations = 0;
     std::uint64_t messages = 0;
-    // unreliable-network mode only:
+    // lossy network only:
     std::uint64_t retries = 0;              ///< retransmissions sent
     std::uint64_t timeouts = 0;             ///< timeouts awaited
     std::uint64_t duplicatesSuppressed = 0; ///< dups dropped by seqno
@@ -75,9 +76,6 @@ class DsmCluster
         Addr base = 0x40000000;
         Word bytes = 16 * os::kPageBytes;
         rt::DeliveryMode mode = rt::DeliveryMode::FastSoftware;
-        /** One-way message latency in cycles (1994 Ethernet at
-         *  25 MHz: ~25k cycles / 1 ms; modern fabrics far less). */
-        Cycles networkLatencyCycles = 25000;
         /** Per-word page copy cost (DMA/wire time). */
         Cycles copyPerWordCycles = 1;
         bool hardwareExtensions = true;
@@ -100,27 +98,16 @@ class DsmCluster
          *  Barrier keeps the cluster bit-identical to Serial. */
         sim::SchedulerMode scheduler = sim::SchedulerMode::Auto;
         /**
-         * Unreliable-network mode: messages may be lost, duplicated,
-         * or delayed, seeded-deterministically. Lost messages cost a
-         * timeout (doubling per retry) and a retransmission; duplicates
-         * are suppressed by per-link sequence numbers. Protocol state
-         * only ever changes after a send succeeds, so a lossy run
-         * converges to the same memory contents as a lossless one.
+         * The message network: one-way latency and, when any of its
+         * percentages is nonzero, seeded loss, delay and duplication.
+         * A lost message costs a timeout (doubling per retry, up to
+         * the cap) and a retransmission; duplicates are suppressed by
+         * per-link sequence numbers. Protocol state only ever changes
+         * after a send succeeds, so a lossy run converges to the same
+         * memory contents as a lossless one. Messages are unframed,
+         * so corruptPercent must stay 0.
          */
-        bool unreliableNetwork = false;
-        std::uint64_t networkSeed = 1;
-        unsigned lossPercent = 0;   ///< per-transmission loss chance
-        unsigned dupPercent = 0;    ///< delivered-twice chance
-        unsigned delayPercent = 0;  ///< extra-delay chance
-        Cycles delayCycles = 5000;  ///< extra latency when delayed
-        Cycles timeoutCycles = 50000;  ///< initial retransmit timeout
-        /** Ceiling for the doubling retransmit timeout. Unbounded
-         *  doubling up to maxRetries made the worst-case wait grow
-         *  2^16 beyond the initial timeout; the cap bounds the tail
-         *  so a partition is declared after a bounded (and
-         *  assertable) number of cycles. */
-        Cycles timeoutCapCycles = 8 * 50000;
-        unsigned maxRetries = 16;   ///< then GuestError (partition)
+        rt::LinkConfig network;
     };
 
     explicit DsmCluster(const Config &config);
@@ -178,15 +165,9 @@ class DsmCluster
     void fetchPage(unsigned to_node, Addr page);
     void setProtection(unsigned node, Addr page, DsmPageState state,
                        bool in_handler);
-    void chargeMessage(unsigned node);
-    /**
-     * One protocol message from @p from to @p to, charged to
-     * @p node's clock. On a reliable network this is exactly
-     * chargeMessage(node); in unreliable mode it runs the
-     * loss/timeout/retry/duplicate machinery.
-     */
+    /** One protocol message from @p from to @p to across the network
+     *  link, charged to @p node's clock. */
     void sendMessage(unsigned node, unsigned from, unsigned to);
-    bool roll(unsigned pct);
     unsigned pairIndex(unsigned from, unsigned to) const;
     sim::Machine &machineOf(unsigned node);
 
@@ -199,7 +180,7 @@ class DsmCluster
     DsmStats stats_;
     /** Per ordered (from,to) link: next seqno to send / expect. */
     std::vector<std::uint64_t> sendSeq_, recvSeq_;
-    std::uint64_t rng_ = 0;
+    rt::Link link_;
 };
 
 } // namespace uexc::apps

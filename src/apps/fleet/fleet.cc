@@ -6,6 +6,7 @@
 #include "apps/dsm/dsm.h"
 #include "common/guesterror.h"
 #include "common/logging.h"
+#include "common/rng.h"
 #include "sim/faultinject.h"
 #include "sim/snapshot.h"
 
@@ -22,7 +23,7 @@ std::uint64_t
 mix(std::uint64_t a, std::uint64_t b)
 {
     std::uint64_t s = a * 0x9E3779B97F4A7C15ull + b;
-    return sim::FaultInjector::splitmix64(s);
+    return splitmix64(s);
 }
 
 } // namespace
@@ -114,11 +115,10 @@ Fleet::Fleet(const FleetConfig &config)
             dc.bytes = 4 * os::kPageBytes;
             dc.memBytes = config.guestMemBytes;
             dc.fastInterpreter = g->fastInterpreter;
-            dc.unreliableNetwork = true;
-            dc.networkSeed = mix(config.seed, 0xD500 + i);
-            dc.lossPercent = 5;
-            dc.dupPercent = 5;
-            dc.delayPercent = 10;
+            dc.network.seed = mix(config.seed, 0xD500 + i);
+            dc.network.lossPercent = 5;
+            dc.network.dupPercent = 5;
+            dc.network.delayPercent = 10;
             g->dsmConfig = dc;
             g->dsm = std::make_unique<DsmCluster>(dc);
         }
@@ -131,7 +131,7 @@ Fleet::~Fleet() = default;
 std::uint64_t
 Fleet::rng()
 {
-    return sim::FaultInjector::splitmix64(rng_);
+    return splitmix64(rng_);
 }
 
 chaos::RigConfig

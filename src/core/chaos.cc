@@ -4,6 +4,7 @@
 
 #include "common/guesterror.h"
 #include "common/logging.h"
+#include "common/rng.h"
 #include "core/migrate.h"
 #include "sim/snapshot.h"
 
@@ -96,38 +97,107 @@ sortedPlan(const MigrationPlan *migrations)
     return plan;
 }
 
+/**
+ * The state runCampaign and replayRepro share: the campaign rig, every
+ * injector a rig of this campaign has referenced (injectors must
+ * outlive every machine that used them, and a migration op swaps the
+ * campaign onto a fresh rig with its own), and the migration plan.
+ */
+struct CampaignRun
+{
+    CampaignRun(const RigConfig &config, const MigrationPlan *migrations)
+        : config(config), plan(sortedPlan(migrations))
+    {
+    }
+
+    const RigConfig &config;
+    std::vector<const MigrateOp *> plan;
+    std::vector<std::unique_ptr<sim::FaultInjector>> injectors;
+    std::unique_ptr<Rig> rig;
+    std::size_t nextOp = 0;
+
+    /** Perform the ops planned at the rig's cursor, skipping any
+     *  before @p first_op, and return the op the rig may run to — at
+     *  most @p limit — before the plan needs it again. */
+    unsigned performDueOps(unsigned first_op, unsigned limit)
+    {
+        unsigned cursor = rig->cursor();
+        for (; nextOp < plan.size() && plan[nextOp]->atOp <= cursor;
+             nextOp++) {
+            if (plan[nextOp]->atOp == cursor && cursor >= first_op)
+                performMigrateOp(*plan[nextOp], rig, injectors, config);
+        }
+        return nextOp < plan.size() ? std::min(limit, plan[nextOp]->atOp)
+                                    : limit;
+    }
+};
+
+/**
+ * Run a campaign on a fresh rig. @p body drives it and returns whether
+ * it ran to the end, in which case the final contents must match
+ * @p reference. What the body throws is classified: a GuestError is a
+ * diagnosis, anything else a host failure, both at the op after the
+ * rig's cursor.
+ */
+template <class Body>
+CampaignOutcome
+driveCampaign(const RigConfig &config, const MigrationPlan *migrations,
+              const std::vector<Word> &reference, Body body)
+{
+    CampaignOutcome out;
+    CampaignRun run(config, migrations);
+    try {
+        run.injectors.push_back(std::make_unique<sim::FaultInjector>());
+        run.rig =
+            std::make_unique<Rig>(run.injectors.front().get(), config);
+        if (body(run, out)) {
+            out.words = run.rig->words();
+            if (out.words != reference) {
+                out.hostFailure = true;
+                out.failOp = kTotalOps;
+                out.what = "final contents diverged from reference";
+            }
+        }
+    } catch (const GuestError &e) {
+        out.diagnosed = true;
+        out.what = e.what();
+        out.failOp = run.rig ? run.rig->cursor() + 1 : 0;
+    } catch (const std::exception &e) {
+        out.hostFailure = true;
+        out.what = e.what();
+        out.failOp = run.rig ? run.rig->cursor() + 1 : 0;
+    } catch (...) {
+        out.hostFailure = true;
+        out.what = "unknown exception";
+        out.failOp = run.rig ? run.rig->cursor() + 1 : 0;
+    }
+    return out;
+}
+
 } // namespace
 
 MigrationPlan
 planMigrationOps(std::uint64_t seed, unsigned count)
 {
-    using sim::FaultInjector;
     MigrationPlan plan;
     std::uint64_t rng = seed ^ 0x6d69677261746500ull; // "migrate\0"
     for (unsigned i = 0; i < count; i++) {
         MigrateOp op;
-        op.atOp = 1 + unsigned(FaultInjector::splitmix64(rng) %
-                               (kTotalOps - 1));
-        op.weather.seed = FaultInjector::splitmix64(rng);
-        op.weather.lossPercent =
-            unsigned(FaultInjector::splitmix64(rng) % 10);
-        op.weather.corruptPercent =
-            unsigned(FaultInjector::splitmix64(rng) % 8);
-        op.weather.dupPercent =
-            unsigned(FaultInjector::splitmix64(rng) % 6);
-        op.weather.delayPercent =
-            unsigned(FaultInjector::splitmix64(rng) % 10);
-        unsigned kind = unsigned(FaultInjector::splitmix64(rng) % 10);
+        op.atOp = 1 + unsigned(splitmix64(rng) % (kTotalOps - 1));
+        op.weather.seed = splitmix64(rng);
+        op.weather.lossPercent = unsigned(splitmix64(rng) % 10);
+        op.weather.corruptPercent = unsigned(splitmix64(rng) % 8);
+        op.weather.dupPercent = unsigned(splitmix64(rng) % 6);
+        op.weather.delayPercent = unsigned(splitmix64(rng) % 10);
+        unsigned kind = unsigned(splitmix64(rng) % 10);
         if (kind == 8) {
             op.kind = MigrateOp::Kind::HostCrash;
         } else if (kind == 9) {
-            unsigned crash =
-                unsigned(FaultInjector::splitmix64(rng) % 3);
+            unsigned crash = unsigned(splitmix64(rng) % 3);
             op.crash = crash == 0   ? MigrateOp::Crash::Source
                        : crash == 1 ? MigrateOp::Crash::Dest
                                     : MigrateOp::Crash::Both;
-            op.crashAfterPercent =
-                10 + unsigned(FaultInjector::splitmix64(rng) % 81);
+            op.crashAfterPercent = 10 + unsigned(splitmix64(rng) % 81);
         }
         plan.push_back(op);
     }
@@ -264,37 +334,32 @@ std::vector<sim::FaultEvent>
 planEvents(std::uint64_t seed, InstCount window, Rig &rig,
            bool *may_diagnose)
 {
-    using sim::FaultInjector;
     using sim::FaultKind;
 
     std::vector<sim::FaultEvent> events;
     bool may = false;
     std::uint64_t rng = seed;
-    unsigned nevents = 1 + FaultInjector::splitmix64(rng) % 3;
+    unsigned nevents = 1 + splitmix64(rng) % 3;
     for (unsigned i = 0; i < nevents; i++) {
         sim::FaultEvent e;
-        e.kind =
-            static_cast<FaultKind>(FaultInjector::splitmix64(rng) % 5);
+        e.kind = static_cast<FaultKind>(splitmix64(rng) % 5);
         e.hart = 0;
-        e.atInst = rig.env().cpu().instret() +
-                   FaultInjector::splitmix64(rng) % window;
+        e.atInst = rig.env().cpu().instret() + splitmix64(rng) % window;
         switch (e.kind) {
           case FaultKind::MemBitFlip: {
             // Confined to the workload region: the recovery contract
             // (final rewrite) covers exactly this memory.
-            Word off = static_cast<Word>(FaultInjector::splitmix64(rng) %
-                                         kRegionBytes) &
-                       ~3u;
+            Word off =
+                static_cast<Word>(splitmix64(rng) % kRegionBytes) & ~3u;
             e.addr =
                 rig.physOf(kRegion + (off & ~(os::kPageBytes - 1))) +
                 (off & (os::kPageBytes - 1));
-            e.bit = FaultInjector::splitmix64(rng) % 32;
+            e.bit = splitmix64(rng) % 32;
             break;
           }
           case FaultKind::TlbCorrupt:
           case FaultKind::TlbSpuriousMiss:
-            e.tlbIndex =
-                static_cast<unsigned>(FaultInjector::splitmix64(rng));
+            e.tlbIndex = static_cast<unsigned>(splitmix64(rng));
             // Only in-place corruption may end in a diagnosis (the
             // pmap consistency check); an eviction always recovers.
             may |= e.kind == FaultKind::TlbCorrupt;
@@ -338,73 +403,40 @@ runCampaign(std::uint64_t seed, InstCount window,
             std::vector<CampaignCheckpoint> *checkpoints,
             const MigrationPlan *migrations)
 {
-    CampaignOutcome out;
-    // Injectors must outlive every rig whose machine references them,
-    // and a migration op swaps the campaign onto a fresh rig with its
-    // own injector — hence the vector, declared first.
-    std::vector<std::unique_ptr<sim::FaultInjector>> injectors;
-    std::unique_ptr<Rig> rig;
-    try {
-        injectors.push_back(std::make_unique<sim::FaultInjector>());
-        rig = std::make_unique<Rig>(injectors.front().get(), config);
-        bool may = false;
-        for (const sim::FaultEvent &e :
-             planEvents(seed, window, *rig, &may)) {
-            injectors.front()->addEvent(e);
-        }
-        out.mayDiagnose = may;
+    return driveCampaign(
+        config, migrations, reference,
+        [&](CampaignRun &run, CampaignOutcome &out) {
+            bool may = false;
+            for (const sim::FaultEvent &e :
+                 planEvents(seed, window, *run.rig, &may)) {
+                run.injectors.front()->addEvent(e);
+            }
+            out.mayDiagnose = may;
 
-        std::vector<const MigrateOp *> plan = sortedPlan(migrations);
-        std::size_t next_op = 0;
-        unsigned last_checkpoint_op = ~0u;
-        while (!rig->done()) {
-            unsigned cursor = rig->cursor();
-            // Checkpoint before any migration planned at the same op,
-            // so a replay from this checkpoint re-performs it.
-            if (checkpoint_every_ops != 0 && checkpoints != nullptr &&
-                cursor % checkpoint_every_ops == 0 &&
-                last_checkpoint_op != cursor) {
-                checkpoints->push_back({cursor,
-                                        rig->env().cpu().instret(),
-                                        rig->checkpoint()});
-                last_checkpoint_op = cursor;
+            unsigned last_checkpoint_op = ~0u;
+            while (!run.rig->done()) {
+                unsigned cursor = run.rig->cursor();
+                // Checkpoint before any migration planned at the same
+                // op, so a replay from this checkpoint re-performs it.
+                if (checkpoint_every_ops != 0 && checkpoints != nullptr &&
+                    cursor % checkpoint_every_ops == 0 &&
+                    last_checkpoint_op != cursor) {
+                    checkpoints->push_back(
+                        {cursor, run.rig->env().cpu().instret(),
+                         run.rig->checkpoint()});
+                    last_checkpoint_op = cursor;
+                }
+                unsigned next = kTotalOps;
+                if (checkpoint_every_ops != 0)
+                    next = std::min(next,
+                                    cursor + checkpoint_every_ops -
+                                        cursor % checkpoint_every_ops);
+                // performDueOps may swap the rig, so it runs first
+                next = run.performDueOps(0, next);
+                run.rig->runTo(next);
             }
-            while (next_op < plan.size() &&
-                   plan[next_op]->atOp <= cursor) {
-                if (plan[next_op]->atOp == cursor)
-                    performMigrateOp(*plan[next_op], rig, injectors,
-                                     config);
-                next_op++;
-            }
-            unsigned next = kTotalOps;
-            if (checkpoint_every_ops != 0)
-                next = std::min(next,
-                                cursor + checkpoint_every_ops -
-                                    cursor % checkpoint_every_ops);
-            if (next_op < plan.size())
-                next = std::min(next, plan[next_op]->atOp);
-            rig->runTo(next);
-        }
-        out.words = rig->words();
-        if (out.words != reference) {
-            out.hostFailure = true;
-            out.failOp = kTotalOps;
-            out.what = "final contents diverged from reference";
-        }
-    } catch (const GuestError &e) {
-        out.diagnosed = true;
-        out.what = e.what();
-        out.failOp = rig ? rig->cursor() + 1 : 0;
-    } catch (const std::exception &e) {
-        out.hostFailure = true;
-        out.what = e.what();
-        out.failOp = rig ? rig->cursor() + 1 : 0;
-    } catch (...) {
-        out.hostFailure = true;
-        out.what = "unknown exception";
-        out.failOp = rig ? rig->cursor() + 1 : 0;
-    }
-    return out;
+            return true;
+        });
 }
 
 // -- minimal repro windows ---------------------------------------------------
@@ -413,62 +445,25 @@ CampaignOutcome
 replayRepro(const ReproWindow &repro,
             const std::vector<Word> &reference)
 {
-    CampaignOutcome out;
-    std::vector<std::unique_ptr<sim::FaultInjector>> injectors;
-    std::unique_ptr<Rig> rig;
-    try {
-        injectors.push_back(std::make_unique<sim::FaultInjector>());
-        rig = std::make_unique<Rig>(injectors.front().get(),
-                                    repro.config);
-        rig->restore(repro.snapshot);
-        if (rig->cursor() != repro.startOp) {
-            throw sim::SnapshotError(
-                "repro snapshot op cursor does not match startOp");
-        }
-        // Ops before the window need no replay: a completed migration
-        // left the guest bit-identical and a graceful failure touched
-        // nothing — their effect (or lack of it) is already inside
-        // the snapshot.
-        std::vector<const MigrateOp *> plan =
-            sortedPlan(&repro.migrations);
-        std::size_t next_op = 0;
-        while (rig->cursor() < repro.endOp) {
-            unsigned cursor = rig->cursor();
-            while (next_op < plan.size() &&
-                   plan[next_op]->atOp <= cursor) {
-                if (plan[next_op]->atOp == cursor &&
-                    plan[next_op]->atOp >= repro.startOp)
-                    performMigrateOp(*plan[next_op], rig, injectors,
-                                     repro.config);
-                next_op++;
+    return driveCampaign(
+        repro.config, &repro.migrations, reference,
+        [&repro](CampaignRun &run, CampaignOutcome &) {
+            run.rig->restore(repro.snapshot);
+            if (run.rig->cursor() != repro.startOp) {
+                throw sim::SnapshotError(
+                    "repro snapshot op cursor does not match startOp");
             }
-            unsigned next = repro.endOp;
-            if (next_op < plan.size())
-                next = std::min(next, plan[next_op]->atOp);
-            rig->runTo(next);
-        }
-        if (repro.endOp == kTotalOps) {
-            out.words = rig->words();
-            if (out.words != reference) {
-                out.hostFailure = true;
-                out.failOp = kTotalOps;
-                out.what = "final contents diverged from reference";
+            // Ops before the window need no replay: a completed
+            // migration left the guest bit-identical and a graceful
+            // failure touched nothing — their effect (or lack of it)
+            // is already inside the snapshot.
+            while (run.rig->cursor() < repro.endOp) {
+                unsigned next =
+                    run.performDueOps(repro.startOp, repro.endOp);
+                run.rig->runTo(next);
             }
-        }
-    } catch (const GuestError &e) {
-        out.diagnosed = true;
-        out.what = e.what();
-        out.failOp = rig ? rig->cursor() + 1 : 0;
-    } catch (const std::exception &e) {
-        out.hostFailure = true;
-        out.what = e.what();
-        out.failOp = rig ? rig->cursor() + 1 : 0;
-    } catch (...) {
-        out.hostFailure = true;
-        out.what = "unknown exception";
-        out.failOp = rig ? rig->cursor() + 1 : 0;
-    }
-    return out;
+            return repro.endOp == kTotalOps;
+        });
 }
 
 ReproWindow

@@ -4,7 +4,7 @@
 #include <cstring>
 
 #include "common/logging.h"
-#include "sim/faultinject.h"
+#include "common/rng.h"
 #include "sim/snapshot.h"
 
 namespace uexc::rt::migrate {
@@ -32,6 +32,20 @@ frameCrc(unsigned index, unsigned total, const Byte *payload,
     return crc ^ sim::snapshotCrc32(payload, len);
 }
 
+/** Parse and fully validate @p image — what `uexc-snap verify` runs:
+ *  header, version, every section CRC, total CRC, footer. A failure
+ *  is MigrateError(ImageRejected), its message prefixed by @p what. */
+sim::SnapshotImage
+parseOrReject(const std::vector<Byte> &image, const char *what)
+{
+    try {
+        return sim::SnapshotImage(image);
+    } catch (const sim::SnapshotError &e) {
+        throw MigrateError(MigrateErrorKind::ImageRejected, ~0u,
+                           std::string(what) + e.what());
+    }
+}
+
 } // namespace
 
 const char *
@@ -49,7 +63,7 @@ migrateErrorKindName(MigrateErrorKind kind)
 
 TransferSession::TransferSession(std::vector<Byte> image,
                                  const TransportConfig &config)
-    : config_(config), source_(std::move(image)), rng_(config.seed)
+    : config_(config), source_(std::move(image)), link_(config)
 {
     if (config_.chunkBytes == 0)
         UEXC_FATAL("migrate: zero transport chunk size");
@@ -62,12 +76,6 @@ TransferSession::TransferSession(std::vector<Byte> image,
     stats_.chunksTotal = chunks_;
 }
 
-bool
-TransferSession::roll(unsigned pct)
-{
-    return sim::FaultInjector::splitmix64(rng_) % 100 < pct;
-}
-
 void
 TransferSession::reconfigure(const TransportConfig &config)
 {
@@ -76,6 +84,7 @@ TransferSession::reconfigure(const TransportConfig &config)
     // The chunk grid is fixed at session construction; changing it
     // mid-flight would orphan the delivered set.
     config_.chunkBytes = chunk_bytes;
+    link_.reconfigure(config_);
 }
 
 void
@@ -90,81 +99,49 @@ TransferSession::sendChunk(unsigned index)
     Cycles wire = config_.latencyCycles +
                   config_.perWordCycles * ((len + 3) / 4);
 
-    Cycles timeout = config_.timeoutCycles;
-    Cycles last_charged = 0;
-    for (unsigned attempt = 0;; attempt++) {
-        stats_.framesSent++;
-        bool lost = roll(config_.lossPercent);
-        bool corrupt = !lost && roll(config_.corruptPercent);
-
+    // A frame is the payload plus its CRC word. A corruption flips one
+    // bit of either, so the receiver's check fails and the chunk is
+    // dropped, costing a timeout.
+    Delivery d = link_.send(wire, 8 * (len + 4), [&](std::size_t bit) {
         std::vector<Byte> frame(payload, payload + len);
         std::uint32_t crc = good_crc;
-        if (corrupt) {
-            // one seeded bit flip anywhere in the frame — payload or
-            // the CRC word itself; either way the receiver's check
-            // fails and the chunk is dropped, costing a timeout
-            std::size_t bits = 8 * (len + 4);
-            std::size_t bit =
-                sim::FaultInjector::splitmix64(rng_) % bits;
-            if (bit < 8 * len)
-                frame[bit / 8] ^= Byte(1u << (bit % 8));
-            else
-                crc ^= 1u << (bit - 8 * len);
-        }
+        if (bit < 8 * len)
+            frame[bit / 8] ^= Byte(1u << (bit % 8));
+        else if (bit != Link::kIntact)
+            crc ^= 1u << (bit - 8 * len);
+        if (frameCrc(index, chunks_, frame.data(), frame.size()) != crc)
+            return false;
+        delivered_[index] = std::move(frame);
+        return true;
+    });
 
-        bool accepted = false;
-        if (!lost) {
-            Cycles latency = wire;
-            if (roll(config_.delayPercent))
-                latency += config_.delayCycles;
-            stats_.cyclesCharged += latency;
-            // receive-side per-chunk CRC check
-            if (frameCrc(index, chunks_, frame.data(), frame.size()) ==
-                crc) {
-                accepted = true;
-            } else {
-                stats_.corruptDropped++;
-            }
-        } else {
-            stats_.lostInFlight++;
-        }
-
-        if (accepted) {
-            delivered_[index] = std::move(frame);
-            have_[index] = true;
-            deliveredCount_++;
-            if (roll(config_.dupPercent)) {
-                stats_.framesSent++;
-                stats_.cyclesCharged += wire;
-                stats_.duplicatesSuppressed++;
-            }
-            std::size_t bucket =
-                std::min<std::size_t>(attempt,
-                                      stats_.retryHistogram.size() - 1);
-            stats_.retryHistogram[bucket]++;
-            stats_.chunksDelivered++;
-            return;
-        }
-
-        // lost or dropped: wait out the retransmit timer
-        if (attempt >= config_.maxRetries) {
-            throw MigrateError(
-                MigrateErrorKind::Partition, index, attempt,
-                last_charged,
-                "chunk " + std::to_string(index) + "/" +
-                    std::to_string(chunks_) + " undelivered after " +
-                    std::to_string(attempt + 1) +
-                    " attempts (network partition?)");
-        }
-        stats_.cyclesCharged += timeout;
-        last_charged = timeout;
-        if (timeout > stats_.maxTimeoutCharged)
-            stats_.maxTimeoutCharged = timeout;
-        stats_.timeouts++;
-        stats_.retries++;
-        timeout = std::min<Cycles>(timeout * 2,
-                                   config_.timeoutCapCycles);
+    stats_.framesSent += d.sends;
+    stats_.retries += d.retries;
+    stats_.timeouts += d.retries;
+    stats_.lostInFlight += d.lost;
+    stats_.corruptDropped += d.corruptDropped;
+    stats_.cyclesCharged += d.cycles;
+    stats_.maxTimeoutCharged =
+        std::max(stats_.maxTimeoutCharged, d.maxTimeout);
+    if (!d.delivered) {
+        throw MigrateError(
+            MigrateErrorKind::Partition, index, d.retries,
+            d.lastTimeout,
+            "chunk " + std::to_string(index) + "/" +
+                std::to_string(chunks_) + " undelivered after " +
+                std::to_string(d.retries + 1) +
+                " attempts (network partition?)");
     }
+    have_[index] = true;
+    deliveredCount_++;
+    if (d.duplicated) {
+        stats_.cyclesCharged += wire;
+        stats_.duplicatesSuppressed++;
+    }
+    std::size_t bucket = std::min<std::size_t>(
+        d.retries, stats_.retryHistogram.size() - 1);
+    stats_.retryHistogram[bucket]++;
+    stats_.chunksDelivered++;
 }
 
 void
@@ -203,16 +180,7 @@ TransferSession::receivedImage() const
     image.reserve(source_.size());
     for (const std::vector<Byte> &c : delivered_)
         image.insert(image.end(), c.begin(), c.end());
-    // Receive-side verification — exactly what `uexc-snap verify`
-    // runs: header, version, every section CRC, total CRC, footer.
-    try {
-        sim::SnapshotImage check(image);
-        (void)check;
-    } catch (const sim::SnapshotError &e) {
-        throw MigrateError(MigrateErrorKind::ImageRejected, ~0u,
-                           std::string("reassembled image rejected: ") +
-                               e.what());
-    }
+    parseOrReject(image, "reassembled image rejected: ");
     return image;
 }
 
@@ -287,8 +255,9 @@ namespace {
 constexpr Word kTagPreCopyPages = sim::snapshotTag('P', 'C', 'P', 'G');
 
 /** Control-image stand-in for the MEM section: the receiver splices
- *  its reassembled memory payload where this marker sits, and both
- *  CRCs recorded here must match before anything is restored. */
+ *  its reassembled memory payload where this marker sits, and that
+ *  payload must match the length and CRC recorded here before
+ *  anything is restored. */
 constexpr Word kTagMemoryRef = sim::snapshotTag('P', 'M', 'R', 'F');
 
 std::size_t
@@ -348,18 +317,18 @@ applyPageBatch(const std::vector<Byte> &batch, PageStore &store)
 }
 
 /** Re-serialize @p full with the MEM section replaced by a PMRF
- *  marker carrying the MEM payload CRC and the whole-image CRC. */
+ *  marker carrying the MEM payload length and CRC. */
 std::vector<Byte>
 buildControlImage(const std::vector<Byte> &full)
 {
-    sim::SnapshotImage img(full);
+    sim::SnapshotImage img =
+        parseOrReject(full, "source checkpoint rejected: ");
     sim::SnapshotWriter w;
     for (const sim::SnapshotSection &s : img.sections()) {
         if (s.tag == sim::kSnapshotMemoryTag) {
             w.beginSection(kTagMemoryRef);
             w.u64(s.length);
             w.u32(sim::snapshotCrc32(img.sectionData(s), s.length));
-            w.u32(sim::snapshotCrc32(full.data(), full.size()));
             w.endSection();
         } else {
             w.beginSection(s.tag);
@@ -374,8 +343,11 @@ buildControlImage(const std::vector<Byte> &full)
  *  order, with the receiver's page store serialized through the
  *  shared snapshot serializer where the PMRF marker sits. Throws
  *  MigrateError(ImageRejected) unless the reconstructed memory
- *  payload and the whole image match the CRCs the source recorded —
- *  the bit-identity guarantee of the pre-copy path. */
+ *  payload matches the length and CRC the source recorded. Every
+ *  other section was checked against its own CRC when the control
+ *  image was received, and the splice writes the framing itself, so
+ *  the payload check is the bit-identity guarantee of the pre-copy
+ *  path. */
 std::vector<Byte>
 spliceControlImage(const std::vector<Byte> &control,
                    const PageStore &store)
@@ -384,7 +356,6 @@ spliceControlImage(const std::vector<Byte> &control,
     sim::SnapshotReader ref = img.section(kTagMemoryRef);
     std::uint64_t mem_payload_len = ref.u64();
     std::uint32_t mem_payload_crc = ref.u32();
-    std::uint32_t full_crc = ref.u32();
     ref.expectEnd();
 
     sim::SnapshotWriter w;
@@ -422,11 +393,6 @@ spliceControlImage(const std::vector<Byte> &control,
                 "pre-copy memory reconstruction diverged from the "
                 "source (payload CRC mismatch)");
         }
-    }
-    if (sim::snapshotCrc32(out.data(), out.size()) != full_crc) {
-        throw MigrateError(MigrateErrorKind::ImageRejected, ~0u,
-                           "pre-copy reconstructed image CRC does not "
-                           "match the source checkpoint");
     }
     return out;
 }
@@ -508,7 +474,7 @@ migrateImagePreCopy(const PreCopySource &source,
     auto ship = [&](const std::vector<Byte> &image,
                     bool downtime) -> std::vector<Byte> {
         TransportConfig t = config.transport;
-        t.seed = sim::FaultInjector::splitmix64(seed_chain);
+        t.seed = splitmix64(seed_chain);
         TransferSession session(image, t);
         Cycles serialize =
             config.checkpointPerWordCycles * ((image.size() + 3) / 4);

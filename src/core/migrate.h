@@ -4,11 +4,11 @@
  * transfer → receive-side verification → restore → resume.
  *
  * The engine moves a crash-consistent .uxsn image (a Machine, a chaos
- * rig, or a whole DSM cluster) between hosts over a transport that
- * reuses the DSM unreliable-network model: every chunk frame carries
- * its own CRC32, a lost or corrupted chunk costs a retransmit timeout
- * that doubles per retry up to a hard cap, and a chunk that exhausts
- * its retry budget raises a structured MigrateError *without*
+ * rig, or a whole DSM cluster) between hosts across the same lossy
+ * rt::Link that carries DSM protocol messages: every chunk frame
+ * carries its own CRC32, a lost or corrupted chunk costs a retransmit
+ * timeout that doubles per retry up to a hard cap, and a chunk that
+ * exhausts its retry budget raises a structured MigrateError *without*
  * destroying either end — the source keeps running (stop-and-copy
  * releases nothing until the destination has accepted the image) and
  * the TransferSession remembers every chunk the receiver already
@@ -151,11 +151,9 @@ class TransferSession
      *  network); the delivered-chunk set and RNG stream persist. */
     void reconfigure(const TransportConfig &config);
 
-    const TransportConfig &config() const { return config_; }
     const TransportStats &stats() const { return stats_; }
 
   private:
-    bool roll(unsigned pct);
     void sendChunk(unsigned index);
 
     TransportConfig config_;
@@ -167,7 +165,7 @@ class TransferSession
     std::vector<bool> have_;
     unsigned deliveredCount_ = 0;
     TransportStats stats_;
-    std::uint64_t rng_ = 0;
+    Link link_;
 };
 
 /** One-shot convenience: transfer @p image over a fresh session and
@@ -294,11 +292,13 @@ struct PreCopySource
  * the residual pages plus a memory-less control image. The receiver
  * reassembles the final image from its page store and the control
  * image through the *same* serializer Machine::checkpoint uses, and
- * accepts it only when both the reconstructed memory payload CRC and
- * the whole-image CRC recorded in the control image match — so a
- * successful pre-copy migration restores bytes identical to what a
- * stop-and-copy of the paused source would have shipped, with
- * downtimeCycles covering only the residual window.
+ * accepts it only when the reconstructed memory payload matches the
+ * length and CRC recorded in the control image; every other section
+ * carries its own CRC across the link. So a successful pre-copy
+ * migration restores bytes identical to what a stop-and-copy of the
+ * paused source would have shipped, with downtimeCycles covering only
+ * the residual window. A source checkpoint that fails validation is
+ * rejected (ImageRejected) before the control image is shipped.
  *
  * On any failure the destination is untouched and the source keeps
  * running (it may have advanced by the slices already run — exactly

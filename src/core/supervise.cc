@@ -3,7 +3,7 @@
 #include <algorithm>
 
 #include "common/logging.h"
-#include "sim/faultinject.h"
+#include "common/rng.h"
 
 namespace uexc::rt::supervise {
 
@@ -165,7 +165,7 @@ Supervisor::onFailure(unsigned guest, std::uint64_t tick,
                                            << shift);
             // Seeded jitter decorrelates retry storms across guests
             // without breaking determinism.
-            backoff += sim::FaultInjector::splitmix64(rng_) % 2;
+            backoff += splitmix64(rng_) % 2;
             d.backoffTicks = backoff;
             stats_.backoffTicksCharged += backoff;
         }

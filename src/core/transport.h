@@ -16,27 +16,16 @@
 #include <vector>
 
 #include "common/types.h"
+#include "core/link.h"
 
 namespace uexc::rt::migrate {
 
-/** Seeded-deterministic lossy transport knobs (the DSM
- *  unreliable-network model, applied to image chunks). */
-struct TransportConfig
+/** Migration transport knobs: the lossy link's, plus how an image is
+ *  cut into chunk frames and what a frame's payload costs on the wire. */
+struct TransportConfig : LinkConfig
 {
-    std::uint64_t seed = 1;
     std::size_t chunkBytes = 4096;
-    unsigned lossPercent = 0;    ///< chunk lost in flight
-    unsigned corruptPercent = 0; ///< one bit of the frame flipped
-    unsigned dupPercent = 0;     ///< chunk delivered twice
-    unsigned delayPercent = 0;   ///< extra-delay chance
-    Cycles latencyCycles = 25000;  ///< per-frame one-way latency
-    Cycles delayCycles = 5000;     ///< extra latency when delayed
-    Cycles perWordCycles = 1;      ///< wire time per 32-bit word
-    Cycles timeoutCycles = 50000;  ///< initial retransmit timeout
-    /** Ceiling for the doubling retransmit timeout (same discipline
-     *  as DsmCluster::Config::timeoutCapCycles). */
-    Cycles timeoutCapCycles = 8 * 50000;
-    unsigned maxRetries = 16;      ///< per chunk, then Partition
+    Cycles perWordCycles = 1; ///< wire time per 32-bit word
 };
 
 /** Transfer-side statistics (host measurement + simulated cycles). */

@@ -72,96 +72,35 @@ Cpu::microDtlbFill(Addr vaddr, AccessType type, const TranslateResult &tr)
     e.writable = type == AccessType::Store;
 }
 
-TranslateResult
-Cpu::translate(Addr vaddr, AccessType type)
+/** The one TLB walk behind translate() and translateQuiet(). A quiet
+ *  walk probes with Tlb::probeQuiet, leaving the TLB statistics alone,
+ *  so host-side services can translate without the guest seeing it. */
+inline TranslateResult
+Cpu::walk(Addr vaddr, AccessType type, bool quiet) const
 {
-    if (config_.fastInterpreter && type != AccessType::Fetch) {
-        TranslateResult r;
-        if (microDtlbLookup(vaddr, type, r))
-            return r;
-        r = translateSlow(vaddr, type);
-        if (r.ok)
-            microDtlbFill(vaddr, type, r);
-        return r;
-    }
-    return translateSlow(vaddr, type);
-}
-
-TranslateResult
-Cpu::translateSlow(Addr vaddr, AccessType type)
-{
-    bool user = h_->cp0_.userMode();
-    if (vaddr >= Kseg0Base) {
-        if (user)
-            return faultResult(type, ExcCode::AdEL, ExcCode::AdES, false);
-        TranslateResult r;
-        if (vaddr < Kseg1Base) {
-            r.ok = true;
-            r.paddr = vaddr - Kseg0Base;
-            r.cacheable = true;
-            return r;
-        }
-        if (vaddr < Kseg2Base) {
-            r.ok = true;
-            r.paddr = vaddr - Kseg1Base;
-            r.cacheable = false;
-            return r;
-        }
-        // kseg2: mapped kernel space; misses use the general vector
-        auto hit = h_->tlb_.probe(vaddr, h_->cp0_.asid());
-        if (!hit)
-            return faultResult(type, ExcCode::TlbL, ExcCode::TlbS, false);
-        const TlbEntry &e = h_->tlb_.entry(*hit);
-        if (!e.valid())
-            return faultResult(type, ExcCode::TlbL, ExcCode::TlbS, false);
-        if (type == AccessType::Store && !e.dirty())
-            return faultResult(type, ExcCode::Mod, ExcCode::Mod, false);
-        r.ok = true;
-        r.paddr = e.pfn() | (vaddr & 0xfffu);
-        r.cacheable = e.cacheable();
-        return r;
-    }
-
-    // kuseg: mapped, refill misses use the dedicated UTLB vector
-    auto hit = h_->tlb_.probe(vaddr, h_->cp0_.asid());
-    if (!hit)
-        return faultResult(type, ExcCode::TlbL, ExcCode::TlbS, true);
-    const TlbEntry &e = h_->tlb_.entry(*hit);
-    if (!e.valid())
-        return faultResult(type, ExcCode::TlbL, ExcCode::TlbS, false);
-    if (type == AccessType::Store && !e.dirty())
-        return faultResult(type, ExcCode::Mod, ExcCode::Mod, false);
-    TranslateResult r;
-    r.ok = true;
-    r.paddr = e.pfn() | (vaddr & 0xfffu);
-    r.cacheable = e.cacheable();
-    return r;
-}
-
-TranslateResult
-Cpu::translateQuiet(Addr vaddr, AccessType type) const
-{
-    // A const clone of translate() that neither updates TLB stats nor
-    // can be observed by the guest. Used by host-side services.
-    bool user = h_->cp0_.userMode();
-    if (vaddr >= Kseg0Base) {
-        if (user)
-            return faultResult(type, ExcCode::AdEL, ExcCode::AdES, false);
-        TranslateResult r;
-        if (vaddr < Kseg1Base) {
-            r.ok = true;
-            r.paddr = vaddr - Kseg0Base;
-            return r;
-        }
-        if (vaddr < Kseg2Base) {
-            r.ok = true;
-            r.paddr = vaddr - Kseg1Base;
-            r.cacheable = false;
-            return r;
-        }
-    }
-    auto hit = h_->tlb_.probeQuiet(vaddr, h_->cp0_.asid());
     bool kuseg = vaddr < Kseg0Base;
+    if (!kuseg) {
+        if (h_->cp0_.userMode())
+            return faultResult(type, ExcCode::AdEL, ExcCode::AdES, false);
+        TranslateResult r;
+        if (vaddr < Kseg1Base) {
+            r.ok = true;
+            r.paddr = vaddr - Kseg0Base;
+            return r;
+        }
+        if (vaddr < Kseg2Base) {
+            r.ok = true;
+            r.paddr = vaddr - Kseg1Base;
+            r.cacheable = false;
+            return r;
+        }
+    }
+
+    // kuseg and kseg2 are mapped; only kuseg misses use the dedicated
+    // UTLB refill vector, kseg2 misses use the general one
+    unsigned asid = h_->cp0_.asid();
+    auto hit = quiet ? h_->tlb_.probeQuiet(vaddr, asid)
+                     : h_->tlb_.probe(vaddr, asid);
     if (!hit)
         return faultResult(type, ExcCode::TlbL, ExcCode::TlbS, kuseg);
     const TlbEntry &e = h_->tlb_.entry(*hit);
@@ -174,6 +113,27 @@ Cpu::translateQuiet(Addr vaddr, AccessType type) const
     r.paddr = e.pfn() | (vaddr & 0xfffu);
     r.cacheable = e.cacheable();
     return r;
+}
+
+TranslateResult
+Cpu::translate(Addr vaddr, AccessType type)
+{
+    if (config_.fastInterpreter && type != AccessType::Fetch) {
+        TranslateResult r;
+        if (microDtlbLookup(vaddr, type, r))
+            return r;
+        r = walk(vaddr, type, false);
+        if (r.ok)
+            microDtlbFill(vaddr, type, r);
+        return r;
+    }
+    return walk(vaddr, type, false);
+}
+
+TranslateResult
+Cpu::translateQuiet(Addr vaddr, AccessType type) const
+{
+    return walk(vaddr, type, true);
 }
 
 // guest data access ----------------------------------------------------------

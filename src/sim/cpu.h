@@ -244,7 +244,7 @@ class Cpu
                     AccessType type, Addr &paddr_out);
     // fast-interpreter helpers
     Word translationKey(Addr vaddr) const;
-    TranslateResult translateSlow(Addr vaddr, AccessType type);
+    TranslateResult walk(Addr vaddr, AccessType type, bool quiet) const;
     bool microDtlbLookup(Addr vaddr, AccessType type,
                          TranslateResult &out);
     void microDtlbFill(Addr vaddr, AccessType type,

@@ -205,13 +205,4 @@ FaultInjector::snapshotLoad(SnapshotReader &r)
     }
 }
 
-std::uint64_t
-FaultInjector::splitmix64(std::uint64_t &state)
-{
-    std::uint64_t z = (state += 0x9e3779b97f4a7c15ull);
-    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
-    z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
-    return z ^ (z >> 31);
-}
-
 } // namespace uexc::sim

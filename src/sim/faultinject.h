@@ -22,7 +22,7 @@
  *    demote the process to kernel-mediated delivery.
  *
  * Determinism: events fire at fixed (hart, instret) points, all
- * randomness comes from the caller via splitmix64(), and a machine
+ * randomness comes from the caller (common/rng.h), and a machine
  * whose injector has no pending events for a hart behaves
  * bit-identically (state, cycles, stats) to one with no injector at
  * all -- Cpu::run only leaves the predecoded fast path while events
@@ -131,14 +131,6 @@ class FaultInjector
      */
     void snapshotSave(SnapshotWriter &w) const;
     void snapshotLoad(SnapshotReader &r);
-
-    /**
-     * The shared PRNG step for everything seeded in this subsystem
-     * (campaign placement, unreliable-network rolls): advances
-     * @p state and returns 64 uniform bits. splitmix64 keeps every
-     * consumer clock- and platform-independent.
-     */
-    static std::uint64_t splitmix64(std::uint64_t &state);
 
   private:
     bool fire(Cpu &cpu, const FaultEvent &event);

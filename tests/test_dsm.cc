@@ -26,7 +26,7 @@ smallCluster(DeliveryMode mode = DeliveryMode::FastSoftware,
     cfg.nodes = nodes;
     cfg.bytes = 4 * os::kPageBytes;
     cfg.mode = mode;
-    cfg.networkLatencyCycles = 1000;   // fast fabric for tests
+    cfg.network.latencyCycles = 1000;   // fast fabric for tests
     return cfg;
 }
 
@@ -123,7 +123,7 @@ TEST(Dsm, ExceptionMechanismMattersOnFastNetworks)
     // fraction of a page miss: the fast mechanism beats signals
     auto pingpong = [](DeliveryMode mode, Cycles latency) {
         DsmCluster::Config cfg = smallCluster(mode);
-        cfg.networkLatencyCycles = latency;
+        cfg.network.latencyCycles = latency;
         DsmCluster dsm(cfg);
         dsm.write(0, kBase, 0);   // establish ownership
         Cycles before = dsm.totalCycles();
@@ -204,11 +204,10 @@ lossyCluster(unsigned loss, unsigned dup, unsigned delay,
              std::uint64_t seed = 42)
 {
     DsmCluster::Config cfg = smallCluster();
-    cfg.unreliableNetwork = true;
-    cfg.networkSeed = seed;
-    cfg.lossPercent = loss;
-    cfg.dupPercent = dup;
-    cfg.delayPercent = delay;
+    cfg.network.seed = seed;
+    cfg.network.lossPercent = loss;
+    cfg.network.dupPercent = dup;
+    cfg.network.delayPercent = delay;
     return cfg;
 }
 
@@ -231,8 +230,8 @@ TEST(DsmUnreliable, LossyRunConvergesToLosslessContents)
 
 TEST(DsmUnreliable, ReliableModeIsUnchangedByTheNewPlumbing)
 {
-    // unreliableNetwork=false must be bit-identical to the old
-    // chargeMessage accounting: no retries, no timeouts, no dups
+    // a network with every percentage at zero is reliable: no
+    // retries, no timeouts, no dups
     DsmCluster dsm(smallCluster());
     runWorkload(dsm);
     EXPECT_EQ(dsm.stats().retries, 0u);
@@ -267,7 +266,8 @@ TEST(DsmUnreliable, TotalLossIsDiagnosedAsPartition)
     // charges a single wait beyond the configured ceiling — the
     // 2^16 tail the cap exists to bound.
     const DsmStats &s = dsm.stats();
-    EXPECT_EQ(s.timeoutCapCycles, lossyCluster(100, 0, 0).timeoutCapCycles);
+    EXPECT_EQ(s.timeoutCapCycles,
+              lossyCluster(100, 0, 0).network.timeoutCapCycles);
     EXPECT_GT(s.maxTimeoutCharged, 0u);
     EXPECT_LE(s.maxTimeoutCharged, s.timeoutCapCycles);
 }
@@ -278,11 +278,12 @@ TEST(DsmUnreliable, RetryTimeoutCapBoundsThePartitionWait)
     // initial + sum(min(2^i * t, cap)) cycles; compare a tight cap
     // against a loose one on the same seed to see the bound bite.
     DsmCluster::Config tight = lossyCluster(100, 0, 0);
-    tight.timeoutCapCycles = tight.timeoutCycles;   // never doubles
+    // never doubles
+    tight.network.timeoutCapCycles = tight.network.timeoutCycles;
     DsmCluster a(tight);
     a.write(0, kBase, 1);
     EXPECT_THROW(a.read(1, kBase), GuestError);
-    EXPECT_EQ(a.stats().maxTimeoutCharged, tight.timeoutCycles);
+    EXPECT_EQ(a.stats().maxTimeoutCharged, tight.network.timeoutCycles);
 
     DsmCluster b(lossyCluster(100, 0, 0));
     b.write(0, kBase, 1);

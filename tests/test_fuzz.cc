@@ -176,7 +176,7 @@ TEST_P(DsmFuzz, SequentiallyConsistentUnderRandomTraffic)
     DsmCluster::Config cfg;
     cfg.nodes = 3;
     cfg.bytes = 4 * os::kPageBytes;
-    cfg.networkLatencyCycles = 500;
+    cfg.network.latencyCycles = 500;
     cfg.fastInterpreter = GetParam().second;
     DsmCluster dsm(cfg);
 

@@ -36,12 +36,11 @@ lossyDsm(std::uint64_t seed, unsigned loss, unsigned dup,
     DsmCluster::Config cfg;
     cfg.nodes = 2;
     cfg.bytes = 4 * os::kPageBytes;
-    cfg.networkLatencyCycles = 1000;
-    cfg.unreliableNetwork = true;
-    cfg.networkSeed = seed;
-    cfg.lossPercent = loss;
-    cfg.dupPercent = dup;
-    cfg.delayPercent = delay;
+    cfg.network.latencyCycles = 1000;
+    cfg.network.seed = seed;
+    cfg.network.lossPercent = loss;
+    cfg.network.dupPercent = dup;
+    cfg.network.delayPercent = delay;
     return cfg;
 }
 

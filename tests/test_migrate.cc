@@ -47,6 +47,7 @@
  */
 
 #include <cstdio>
+#include <memory>
 #include <random>
 #include <string>
 #include <vector>
@@ -898,6 +899,120 @@ TEST(MigratePreCopy, PageZeroedAgainBeforeStopAndCopyIsElided)
         r.bytes(buf.data(), buf.size());
     }
     r.expectEnd();
+}
+
+/** A fuzz machine and a pre-copy source over it whose guest never
+ *  runs between rounds, so the initial pass ships every live page
+ *  exactly once and the final cut leaves no residual. */
+struct IdlePreCopy
+{
+    MachineConfig cfg;
+    std::unique_ptr<Machine> src, dst;
+    migrate::PreCopySource source;
+    bool restored = false;
+
+    IdlePreCopy()
+    {
+        cfg.memBytes = 1 << 18;
+        src = std::make_unique<Machine>(cfg);
+        dst = std::make_unique<Machine>(cfg);
+        fuzzutil::installFuzzSkipHandlers(*src);
+        src->load(fuzzutil::buildFuzzProgram(7));
+        src->hart(0).setPc(testutil::kTestOrigin);
+        src->run(1000);
+        PhysMemory &mem = src->mem();
+        auto base = [](std::uint32_t p) {
+            return Addr(std::size_t(p) * kSnapshotPageBytes);
+        };
+        source.memBytes = mem.size();
+        source.readPage = [&mem, base](std::uint32_t p, Byte *out,
+                                       std::size_t len) {
+            mem.readBlock(base(p), out, len);
+        };
+        source.pageVersion = [&mem, base](std::uint32_t p) {
+            return mem.pageVersion(base(p));
+        };
+        source.pageIsZero = [&mem, base](std::uint32_t p,
+                                         std::size_t len) {
+            return mem.blockIsZero(base(p), len);
+        };
+        source.runSlice = [] {};
+        source.checkpoint = [this] { return src->checkpoint(); };
+    }
+
+    migrate::MigrationResult migrate()
+    {
+        migrate::PreCopyConfig pc;
+        pc.maxRounds = 1;
+        return migrate::migrateImagePreCopy(
+            source,
+            [this](const std::vector<Byte> &image) {
+                restored = true;
+                dst->restore(image);
+            },
+            migrate::MigrationConfig(), pc);
+    }
+};
+
+TEST(MigratePreCopy, FlippedPageStoreBitIsRejectedByThePayloadCrc)
+{
+    IdlePreCopy clean;
+    migrate::MigrationResult ok = clean.migrate();
+    ASSERT_TRUE(ok.succeeded) << ok.error;
+    EXPECT_EQ(ok.precopy.residualPages, 0u);
+    EXPECT_EQ(clean.dst->checkpoint(), clean.src->checkpoint());
+
+    // The first page shipped reaches the receiver's page store with
+    // one bit flipped; nothing dirties it again, so the splice serves
+    // the flipped byte and only the MEM payload CRC can notice.
+    IdlePreCopy torn;
+    auto read = torn.source.readPage;
+    bool flipped = false;
+    torn.source.readPage = [&](std::uint32_t p, Byte *out,
+                               std::size_t len) {
+        read(p, out, len);
+        if (!flipped)
+            out[len / 2] ^= 0x08;
+        flipped = true;
+    };
+    migrate::MigrationResult result = torn.migrate();
+    EXPECT_TRUE(flipped);
+    ASSERT_FALSE(result.succeeded);
+    EXPECT_EQ(result.errorKind, MigrateErrorKind::ImageRejected);
+    EXPECT_NE(result.error.find("payload CRC mismatch"),
+              std::string::npos)
+        << result.error;
+    EXPECT_FALSE(torn.restored);
+}
+
+TEST(MigratePreCopy, FlippedControlSectionBitIsRejectedByItsSectionCrc)
+{
+    // One bit of a non-memory section of the source checkpoint flips,
+    // and the footer CRC is recomputed over the torn bytes, so only
+    // that section's own CRC can reject it.
+    IdlePreCopy torn;
+    torn.source.checkpoint = [&torn] {
+        std::vector<Byte> image = torn.src->checkpoint();
+        SnapshotImage parsed(image);
+        SnapshotSection victim;
+        for (const SnapshotSection &s : parsed.sections())
+            if (s.tag != kSnapshotMemoryTag && s.length > 0)
+                victim = s;
+        image[victim.offset + victim.length / 2] ^= 0x01;
+        std::uint32_t total =
+            snapshotCrc32(image.data(), image.size() - 4);
+        for (unsigned i = 0; i < 4; i++)
+            image[image.size() - 4 + i] = Byte(total >> (8 * i));
+        return image;
+    };
+    migrate::MigrationResult result = torn.migrate();
+    ASSERT_FALSE(result.succeeded);
+    EXPECT_EQ(result.errorKind, MigrateErrorKind::ImageRejected);
+    EXPECT_NE(result.error.find("CRC mismatch"), std::string::npos)
+        << result.error;
+    EXPECT_EQ(result.error.find("total CRC"), std::string::npos)
+        << result.error;
+    EXPECT_FALSE(torn.restored);
 }
 
 TEST(MigratePreCopy, PartitionLeavesTheSourceCampaignRunning)

@@ -36,6 +36,7 @@
 #include "apps/dsm/dsm.h"
 #include "common/guesterror.h"
 #include "common/logging.h"
+#include "common/rng.h"
 #include "core/chaos.h"
 #include "fuzz_util.h"
 #include "sim/faultinject.h"
@@ -877,11 +878,10 @@ soakConfig()
     cfg.nodes = 3;
     cfg.base = kSoakBase;
     cfg.bytes = kSoakBytes;
-    cfg.unreliableNetwork = true;
-    cfg.networkSeed = 77;
-    cfg.lossPercent = 5;
-    cfg.dupPercent = 5;
-    cfg.delayPercent = 10;
+    cfg.network.seed = 77;
+    cfg.network.lossPercent = 5;
+    cfg.network.dupPercent = 5;
+    cfg.network.delayPercent = 10;
     return cfg;
 }
 
@@ -891,7 +891,7 @@ void
 soakOp(DsmCluster &c, unsigned op)
 {
     std::uint64_t s = 0x50a50a50ull + op * 0x9e3779b97f4a7c15ull;
-    auto r = [&s] { return sim::FaultInjector::splitmix64(s); };
+    auto r = [&s] { return splitmix64(s); };
     unsigned node = static_cast<unsigned>(r() % c.nodes());
     Addr va = kSoakBase + static_cast<Word>(r() % (kSoakBytes / 4)) * 4;
     if (r() % 2 != 0)
@@ -947,7 +947,9 @@ TEST(DsmSnapshot, ConfigMismatchIsRejected)
     EXPECT_THROW(b.restore(img), sim::SnapshotError);
 
     DsmCluster::Config reliable = soakConfig();
-    reliable.unreliableNetwork = false;
+    reliable.network.lossPercent = 0;
+    reliable.network.dupPercent = 0;
+    reliable.network.delayPercent = 0;
     DsmCluster c(reliable);
     EXPECT_THROW(c.restore(img), sim::SnapshotError);
     setLoggingEnabled(true);
