@@ -117,7 +117,6 @@ TransferSession::sendChunk(unsigned index)
 
     stats_.framesSent += d.sends;
     stats_.retries += d.retries;
-    stats_.timeouts += d.retries;
     stats_.lostInFlight += d.lost;
     stats_.corruptDropped += d.corruptDropped;
     stats_.cyclesCharged += d.cycles;
@@ -359,11 +358,12 @@ spliceControlImage(const std::vector<Byte> &control,
     ref.expectEnd();
 
     sim::SnapshotWriter w;
+    sim::SnapshotFrame mem;
     for (const sim::SnapshotSection &s : img.sections()) {
         if (s.tag == kTagMemoryRef) {
             // only delivered pages are read or scanned, so the
             // splice costs what the batches carried, not memBytes
-            sim::writeMemorySection(
+            mem = sim::writeMemorySection(
                 w, sim::kSnapshotMemoryTag, store.memBytes,
                 [&store](std::uint32_t p, Byte *dst, std::size_t len) {
                     std::memcpy(dst, store.pages[p].data(), len);
@@ -379,22 +379,12 @@ spliceControlImage(const std::vector<Byte> &control,
             w.endSection();
         }
     }
-    std::vector<Byte> out = w.finish();
-
-    sim::SnapshotImage out_img(out);
-    for (const sim::SnapshotSection &s : out_img.sections()) {
-        if (s.tag != sim::kSnapshotMemoryTag)
-            continue;
-        if (s.length != mem_payload_len ||
-            sim::snapshotCrc32(out_img.sectionData(s), s.length) !=
-                mem_payload_crc) {
-            throw MigrateError(
-                MigrateErrorKind::ImageRejected, ~0u,
-                "pre-copy memory reconstruction diverged from the "
-                "source (payload CRC mismatch)");
-        }
+    if (mem.length != mem_payload_len || mem.crc != mem_payload_crc) {
+        throw MigrateError(MigrateErrorKind::ImageRejected, ~0u,
+                           "pre-copy memory reconstruction diverged "
+                           "from the source (payload CRC mismatch)");
     }
-    return out;
+    return w.finish();
 }
 
 void
@@ -404,7 +394,6 @@ accumulateStats(TransportStats &into, const TransportStats &s)
     into.chunksDelivered += s.chunksDelivered;
     into.framesSent += s.framesSent;
     into.retries += s.retries;
-    into.timeouts += s.timeouts;
     into.lostInFlight += s.lostInFlight;
     into.corruptDropped += s.corruptDropped;
     into.duplicatesSuppressed += s.duplicatesSuppressed;

@@ -34,8 +34,7 @@ struct TransportStats
     std::uint64_t chunksTotal = 0;
     std::uint64_t chunksDelivered = 0;
     std::uint64_t framesSent = 0;     ///< incl. retransmits and dups
-    std::uint64_t retries = 0;
-    std::uint64_t timeouts = 0;
+    std::uint64_t retries = 0;        ///< timeouts waited, each then resent
     std::uint64_t lostInFlight = 0;
     std::uint64_t corruptDropped = 0; ///< chunk-CRC rejections
     std::uint64_t duplicatesSuppressed = 0;

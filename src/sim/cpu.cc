@@ -1,5 +1,7 @@
 #include "sim/cpu.h"
 
+#include <algorithm>
+
 #include "common/bits.h"
 #include "common/logging.h"
 #include "sim/faultinject.h"
@@ -406,36 +408,6 @@ Cpu::memAddress(const DecodedInst &inst, unsigned size, AccessType type,
 }
 
 /**
- * Fetch through the one-entry predecoded-page cache. Returns null on
- * any miss (page change, write to the page, TLB mutation, ASID/mode
- * change, unaligned PC); the caller then runs the reference fetch
- * sequence, which both raises the right exception and refills the
- * cache. On a hit, replays exactly the statistics and cycle charges
- * the reference fetch would have produced.
- */
-inline const DecodedInst *
-Cpu::fetchFast()
-{
-    if (h_->tlbGenSeen_ != h_->tlb_.generation()) {
-        h_->flushMicroTlb();
-        return nullptr;
-    }
-    if (translationKey(h_->pc_) != h_->fetchKey_ ||
-        *h_->fetchMemVer_ != h_->fetchVersion_ ||
-        !isAligned(h_->pc_, 4)) {
-        return nullptr;
-    }
-    noteFetchPage(h_->fetchPaBase_);
-    if (h_->fetchMapped_)
-        h_->tlb_.recordMicroHit();
-    if (config_.cachesEnabled && h_->fetchCacheable_ && h_->icache_) {
-        if (!h_->icache_->access(h_->fetchPaBase_ | (h_->pc_ & 0xfffu)))
-            charge(config_.cost.icacheMissPenalty);
-    }
-    return &h_->fetchPage_->insts[(h_->pc_ & 0xfffu) >> 2];
-}
-
-/**
  * Install the fetch cache for the page a slow fetch just translated
  * to @p tr, (re)decoding the whole physical page if it has never been
  * seen or was written since. Returns null when the page does not lie
@@ -471,60 +443,16 @@ Cpu::refillFetchFast(const TranslateResult &tr)
     return &h_->fetchPage_->insts[(h_->pc_ & 0xfffu) >> 2];
 }
 
-/**
- * Everything after fetch: retire accounting, execution, observer
- * callback and PC sequencing. Shared verbatim by the reference and
- * fast paths so the two cannot drift.
- */
-inline void
-Cpu::executeTail(const DecodedInst &inst, Cycles cycles_before)
-{
-    h_->stats_.instructions++;
-    charge(config_.cost.baseCost);
-
-    Addr inst_pc = h_->pc_;
-    execute(inst);
-
-    if (h_->excRaised_)
-        return;
-
-    if (!(inst.flags & DecodedInst::FlagMemory))
-        h_->consecutiveStores_ = 0;
-
-    if (observer_)
-        observer_->onInst(inst_pc, inst, h_->stats_.cycles - cycles_before);
-
-    if (h_->redirect_) {
-        h_->redirect_ = false;
-        return;
-    }
-
-    h_->prevWasControl_ = (inst.flags & DecodedInst::FlagControl) != 0;
-    h_->pc_ = h_->npc_;
-    h_->npc_ = h_->stagedNpc_;
-}
-
+/** Execute one instruction (or take one exception). */
 void
 Cpu::step()
 {
-    if (h_->halted_)
-        return;
-
     h_->cp0_.tickRandom();
     h_->excRaised_ = false;
     h_->branchTaken_ = false;
     h_->stagedNpc_ = h_->npc_ + 4;
 
     Cycles cycles_before = h_->stats_.cycles;
-
-    if (config_.fastInterpreter) {
-        if (const DecodedInst *inst = fetchFast()) {
-            executeTail(*inst, cycles_before);
-            return;
-        }
-        // miss: fall through to the reference fetch, which raises any
-        // fetch exception and then refills the fast-path caches
-    }
 
     // fetch
     if (!isAligned(h_->pc_, 4)) {
@@ -547,369 +475,371 @@ Cpu::step()
         if (!h_->icache_->access(tr.paddr))
             charge(config_.cost.icacheMissPenalty);
     }
-    if (config_.fastInterpreter) {
-        if (const DecodedInst *inst = refillFetchFast(tr)) {
-            executeTail(*inst, cycles_before);
-            return;
-        }
+    // the fast interpreter refills its fetch cache on the way
+    const DecodedInst *cached =
+        config_.fastInterpreter ? refillFetchFast(tr) : nullptr;
+    const DecodedInst inst =
+        cached ? *cached : decode(mem_.readWord(tr.paddr));
+
+    h_->stats_.instructions++;
+    charge(config_.cost.baseCost);
+    Addr inst_pc = h_->pc_;
+    execute(inst);
+    if (h_->excRaised_)
+        return;
+    if (!(inst.flags & DecodedInst::FlagMemory))
+        h_->consecutiveStores_ = 0;
+    if (observer_)
+        observer_->onInst(inst_pc, inst, h_->stats_.cycles - cycles_before);
+    if (h_->redirect_) {
+        h_->redirect_ = false;
+        return;
     }
-    Word raw = mem_.readWord(tr.paddr);
-    DecodedInst inst = decode(raw);
-    executeTail(inst, cycles_before);
+    h_->prevWasControl_ = (inst.flags & DecodedInst::FlagControl) != 0;
+    h_->pc_ = h_->npc_;
+    h_->npc_ = h_->stagedNpc_;
 }
 
 /**
- * Block-execution run loop for the fast interpreter: while the fetch
- * cache stays valid, dispatch instructions straight off the decoded
- * page without going back through step()'s per-instruction call
- * chain. Any miss (page change, self-modifying store, TLB or mode
- * change, exception, redirect) drops to one reference step() that
- * raises the right exception and refills the caches, then the block
- * loop resumes. Every statistics update and cycle charge below is an
- * exact replay of what step() performs, in the same order, so the two
- * paths stay bit-identical.
+ * One unit of the fast interpreter: while the fetch cache stays valid,
+ * dispatch up to @p limit instructions straight off the decoded page
+ * without going back through step()'s per-instruction call chain. A
+ * fetch-cache miss (page change, self-modifying store, TLB or mode
+ * change, unaligned PC) runs one reference step() instead, which
+ * raises the right exception and refills the caches. Every statistics
+ * update and cycle charge below is an exact replay of what step()
+ * performs, in the same order, so the two interpreters stay
+ * bit-identical. The block never leaves the cached page, so run()
+ * sees every page crossing; on a page holding a stop PC the block is
+ * one instruction, so run() checks the stop set before each one there.
  */
-RunResult
-Cpu::runFast(InstCount max_insts)
+void
+Cpu::runBlock(InstCount limit)
 {
-    RunResult result;
-    while (result.instsExecuted < max_insts) {
-        if (h_->halted_) {
-            result.reason = StopReason::Halted;
-            return result;
-        }
-        if (h_->tlbGenSeen_ != h_->tlb_.generation())
-            h_->flushMicroTlb();
-        if (translationKey(h_->pc_) != h_->fetchKey_ ||
-            *h_->fetchMemVer_ != h_->fetchVersion_ ||
-            (h_->pc_ & 3) != 0) {
-            // miss: one reference step raises any fetch exception and
-            // refills the fetch cache
-            InstCount before = h_->stats_.instructions;
-            step();
-            result.instsExecuted += h_->stats_.instructions - before;
-            continue;
-        }
-        // One note per block entry covers the whole inline run: the
-        // block loop exits before the PC can leave the cached page.
-        noteFetchPage(h_->fetchPaBase_);
-        if (h_->halted_)
-            continue;  // store-buffer abort: exit via the loop top
-        InstCount limit = max_insts - result.instsExecuted;
-        InstCount done = 0;
-        // PC sequencing lives in host registers inside the block loop:
-        // the member round trip (store h_->pc_, reload it next iteration)
-        // is the interpreter's longest serial dependence chain. The
-        // members are synced on every loop exit and before any
-        // instruction that can observe them (exceptions, jump links,
-        // CP0, memory - everything outside the inline subset below).
-        Addr pc = h_->pc_;
-        Addr npc = h_->npc_;
-        bool sync = true;
-        while (true) {
-            const DecodedInst &inst = h_->fetchPage_->insts[(pc & 0xfffu) >> 2];
-            h_->cp0_.tickRandom();
-            Cycles cycles_before = h_->stats_.cycles;
-            if (h_->fetchMapped_)
-                h_->tlb_.recordMicroHit();
-            if (config_.cachesEnabled && h_->fetchCacheable_ && h_->icache_ &&
-                !h_->icache_->access(h_->fetchPaBase_ | (pc & 0xfffu)))
-                charge(config_.cost.icacheMissPenalty);
-            h_->stats_.instructions++;
-            charge(config_.cost.baseCost);
-            done++;
-            Addr staged = npc + 4;
-            const Word rs = h_->regs_[inst.rs];
-            const Word rt = h_->regs_[inst.rt];
-            const CostModel &cost = config_.cost;
-            // Inline subset: instructions that cannot raise exceptions,
-            // touch memory, or reach CP0/TLB state. Each case is a
-            // transliteration of the corresponding execute() case with
-            // h_->pc_/h_->stagedNpc_ replaced by the locals; doBranch()/doJump()
-            // are expanded in place.
-            switch (inst.op) {
-              case Op::Sll:  setReg(inst.rd, rt << inst.shamt); break;
-              case Op::Srl:  setReg(inst.rd, rt >> inst.shamt); break;
-              case Op::Sra:
-                setReg(inst.rd,
-                       static_cast<Word>(static_cast<SWord>(rt) >>
-                                         inst.shamt));
-                break;
-              case Op::Sllv: setReg(inst.rd, rt << (rs & 31)); break;
-              case Op::Srlv: setReg(inst.rd, rt >> (rs & 31)); break;
-              case Op::Srav:
-                setReg(inst.rd,
-                       static_cast<Word>(static_cast<SWord>(rt) >>
-                                         (rs & 31)));
-                break;
-              case Op::Addu: setReg(inst.rd, rs + rt); break;
-              case Op::Subu: setReg(inst.rd, rs - rt); break;
-              case Op::And:  setReg(inst.rd, rs & rt); break;
-              case Op::Or:   setReg(inst.rd, rs | rt); break;
-              case Op::Xor:  setReg(inst.rd, rs ^ rt); break;
-              case Op::Nor:  setReg(inst.rd, ~(rs | rt)); break;
-              case Op::Slt:
-                setReg(inst.rd,
-                       static_cast<SWord>(rs) < static_cast<SWord>(rt));
-                break;
-              case Op::Sltu: setReg(inst.rd, rs < rt); break;
-              case Op::Mult: {
-                std::int64_t prod = static_cast<std::int64_t>(
-                    static_cast<SWord>(rs)) * static_cast<SWord>(rt);
-                h_->lo_ = static_cast<Word>(prod);
-                h_->hi_ = static_cast<Word>(prod >> 32);
-                charge(opExecuteExtraCycles(inst.op, cost));
-                break;
-              }
-              case Op::Multu: {
-                std::uint64_t prod = static_cast<std::uint64_t>(rs) * rt;
-                h_->lo_ = static_cast<Word>(prod);
-                h_->hi_ = static_cast<Word>(prod >> 32);
-                charge(opExecuteExtraCycles(inst.op, cost));
-                break;
-              }
-              case Op::Div:
-                if (rt == 0) {
-                    h_->lo_ = 0xffffffffu;
-                    h_->hi_ = rs;
-                } else if (rs == 0x80000000u && rt == 0xffffffffu) {
-                    h_->lo_ = 0x80000000u;
-                    h_->hi_ = 0;
-                } else {
-                    h_->lo_ = static_cast<Word>(static_cast<SWord>(rs) /
-                                            static_cast<SWord>(rt));
-                    h_->hi_ = static_cast<Word>(static_cast<SWord>(rs) %
-                                            static_cast<SWord>(rt));
-                }
-                charge(opExecuteExtraCycles(inst.op, cost));
-                break;
-              case Op::Divu:
-                if (rt == 0) {
-                    h_->lo_ = 0xffffffffu;
-                    h_->hi_ = rs;
-                } else {
-                    h_->lo_ = rs / rt;
-                    h_->hi_ = rs % rt;
-                }
-                charge(opExecuteExtraCycles(inst.op, cost));
-                break;
-              case Op::Mfhi: setReg(inst.rd, h_->hi_); break;
-              case Op::Mthi: h_->hi_ = rs; break;
-              case Op::Mflo: setReg(inst.rd, h_->lo_); break;
-              case Op::Mtlo: h_->lo_ = rs; break;
-              case Op::Addiu: setReg(inst.rt, rs + inst.simm); break;
-              case Op::Slti:
-                setReg(inst.rt, static_cast<SWord>(rs) <
-                                static_cast<SWord>(inst.simm));
-                break;
-              case Op::Sltiu: setReg(inst.rt, rs < inst.simm); break;
-              case Op::Andi:  setReg(inst.rt, rs & inst.imm); break;
-              case Op::Ori:   setReg(inst.rt, rs | inst.imm); break;
-              case Op::Xori:  setReg(inst.rt, rs ^ inst.imm); break;
-              case Op::Lui:   setReg(inst.rt, inst.imm << 16); break;
-              case Op::J:
-                h_->stats_.branches++;
-                staged = ((pc + 4) & 0xf0000000u) | (inst.target << 2);
-                h_->branchTaken_ = true;
-                charge(opTakenControlExtraCycles(inst.op, cost));
-                break;
-              case Op::Jal:
-                setReg(RA, pc + 8);
-                h_->stats_.branches++;
-                staged = ((pc + 4) & 0xf0000000u) | (inst.target << 2);
-                h_->branchTaken_ = true;
-                charge(opTakenControlExtraCycles(inst.op, cost));
-                break;
-              case Op::Jr:
-                h_->stats_.branches++;
-                staged = rs;
-                h_->branchTaken_ = true;
-                charge(opTakenControlExtraCycles(inst.op, cost));
-                break;
-              case Op::Jalr:
-                setReg(inst.rd, pc + 8);
-                h_->stats_.branches++;
-                staged = rs;
-                h_->branchTaken_ = true;
-                charge(opTakenControlExtraCycles(inst.op, cost));
-                break;
-              case Op::Beq:
-                h_->stats_.branches++;
-                if (rs == rt) {
-                    staged = pc + 4 + (inst.simm << 2);
-                    h_->branchTaken_ = true;
-                    charge(opTakenControlExtraCycles(inst.op, cost));
-                }
-                break;
-              case Op::Bne:
-                h_->stats_.branches++;
-                if (rs != rt) {
-                    staged = pc + 4 + (inst.simm << 2);
-                    h_->branchTaken_ = true;
-                    charge(opTakenControlExtraCycles(inst.op, cost));
-                }
-                break;
-              case Op::Blez:
-                h_->stats_.branches++;
-                if (static_cast<SWord>(rs) <= 0) {
-                    staged = pc + 4 + (inst.simm << 2);
-                    h_->branchTaken_ = true;
-                    charge(opTakenControlExtraCycles(inst.op, cost));
-                }
-                break;
-              case Op::Bgtz:
-                h_->stats_.branches++;
-                if (static_cast<SWord>(rs) > 0) {
-                    staged = pc + 4 + (inst.simm << 2);
-                    h_->branchTaken_ = true;
-                    charge(opTakenControlExtraCycles(inst.op, cost));
-                }
-                break;
-              case Op::Bltz:
-                h_->stats_.branches++;
-                if (static_cast<SWord>(rs) < 0) {
-                    staged = pc + 4 + (inst.simm << 2);
-                    h_->branchTaken_ = true;
-                    charge(opTakenControlExtraCycles(inst.op, cost));
-                }
-                break;
-              case Op::Bgez:
-                h_->stats_.branches++;
-                if (static_cast<SWord>(rs) >= 0) {
-                    staged = pc + 4 + (inst.simm << 2);
-                    h_->branchTaken_ = true;
-                    charge(opTakenControlExtraCycles(inst.op, cost));
-                }
-                break;
-              case Op::Bltzal:
-                setReg(RA, pc + 8);
-                h_->stats_.branches++;
-                if (static_cast<SWord>(rs) < 0) {
-                    staged = pc + 4 + (inst.simm << 2);
-                    h_->branchTaken_ = true;
-                    charge(opTakenControlExtraCycles(inst.op, cost));
-                }
-                break;
-              case Op::Bgezal:
-                setReg(RA, pc + 8);
-                h_->stats_.branches++;
-                if (static_cast<SWord>(rs) >= 0) {
-                    staged = pc + 4 + (inst.simm << 2);
-                    h_->branchTaken_ = true;
-                    charge(opTakenControlExtraCycles(inst.op, cost));
-                }
-                break;
-              default:
-                goto general;
-            }
-            // tail for the inline subset: never memory, never an
-            // exception, never a redirect, never invalidates the
-            // fetch cache
-            h_->consecutiveStores_ = 0;
-            if (observer_)
-                observer_->onInst(pc, inst, h_->stats_.cycles - cycles_before);
-            h_->prevWasControl_ = (inst.flags & DecodedInst::FlagControl) != 0;
-            pc = npc;
-            npc = staged;
-            if (done >= limit)
-                break;
-            // one compare covers "still in the cached page" and "still
-            // word-aligned" (h_->fetchVbase_ has zero low bits)
-            if ((pc ^ h_->fetchVbase_) & 0xfffff003u)
-                break;
-            continue;
-
-          general:
-            // everything else goes through the reference execute() on
-            // synced member state, replaying executeTail() exactly
-            h_->pc_ = pc;
-            h_->npc_ = npc;
-            h_->stagedNpc_ = staged;
-            h_->excRaised_ = false;
-            h_->branchTaken_ = false;
-            execute(inst);
-            if (h_->excRaised_) {
-                // takeException already redirected h_->pc_/h_->npc_
-                sync = false;
-                break;
-            }
-            if (!(inst.flags & DecodedInst::FlagMemory))
-                h_->consecutiveStores_ = 0;
-            if (observer_)
-                observer_->onInst(pc, inst, h_->stats_.cycles - cycles_before);
-            if (h_->redirect_) {
-                h_->redirect_ = false;
-                sync = false;
-                break;
-            }
-            h_->prevWasControl_ = (inst.flags & DecodedInst::FlagControl) != 0;
-            h_->pc_ = h_->npc_;
-            h_->npc_ = h_->stagedNpc_;
-            pc = h_->pc_;
-            npc = h_->npc_;
-            if (h_->halted_ || done >= limit)
-                break;
-            if ((pc ^ h_->fetchVbase_) & 0xfffff003u)
-                break;
-            // the cached translation and decoded page can only go
-            // stale behind our back via a store (page write version)
-            // or a fence-class instruction (TLB/CP0 write, host call);
-            // anything else leaves them valid by construction
-            if (inst.flags &
-                (DecodedInst::FlagStore | DecodedInst::FlagFence)) {
-                if (inst.flags & DecodedInst::FlagFence)
-                    break;
-                if (*h_->fetchMemVer_ != h_->fetchVersion_)
-                    break;
-            }
-        }
-        if (sync) {
-            h_->pc_ = pc;
-            h_->npc_ = npc;
-        }
-        result.instsExecuted += done;
+    if (h_->tlbGenSeen_ != h_->tlb_.generation())
+        h_->flushMicroTlb();
+    if (translationKey(h_->pc_) != h_->fetchKey_ ||
+        *h_->fetchMemVer_ != h_->fetchVersion_ || (h_->pc_ & 3) != 0) {
+        step();
+        return;
     }
-    result.reason = StopReason::InstLimit;
-    return result;
+    // One note per block entry covers the whole inline run: the
+    // block loop exits before the PC can leave the cached page.
+    noteFetchPage(h_->fetchPaBase_);
+    if (h_->halted_)
+        return;  // store-buffer abort
+    if (h_->breakpointInPage(h_->fetchVbase_))
+        limit = 1;
+    InstCount done = 0;
+    // PC sequencing lives in host registers inside the block loop:
+    // the member round trip (store h_->pc_, reload it next iteration)
+    // is the interpreter's longest serial dependence chain. The
+    // members are synced on every loop exit and before any
+    // instruction that can observe them (exceptions, jump links,
+    // CP0, memory - everything outside the inline subset below).
+    Addr pc = h_->pc_;
+    Addr npc = h_->npc_;
+    bool sync = true;
+    while (true) {
+        const DecodedInst &inst = h_->fetchPage_->insts[(pc & 0xfffu) >> 2];
+        h_->cp0_.tickRandom();
+        Cycles cycles_before = h_->stats_.cycles;
+        if (h_->fetchMapped_)
+            h_->tlb_.recordMicroHit();
+        if (config_.cachesEnabled && h_->fetchCacheable_ && h_->icache_ &&
+            !h_->icache_->access(h_->fetchPaBase_ | (pc & 0xfffu)))
+            charge(config_.cost.icacheMissPenalty);
+        h_->stats_.instructions++;
+        charge(config_.cost.baseCost);
+        done++;
+        Addr staged = npc + 4;
+        const Word rs = h_->regs_[inst.rs];
+        const Word rt = h_->regs_[inst.rt];
+        const CostModel &cost = config_.cost;
+        // Inline subset: instructions that cannot raise exceptions,
+        // touch memory, or reach CP0/TLB state. Each case is a
+        // transliteration of the corresponding execute() case with
+        // h_->pc_/h_->stagedNpc_ replaced by the locals; doBranch()/doJump()
+        // are expanded in place.
+        switch (inst.op) {
+          case Op::Sll:  setReg(inst.rd, rt << inst.shamt); break;
+          case Op::Srl:  setReg(inst.rd, rt >> inst.shamt); break;
+          case Op::Sra:
+            setReg(inst.rd,
+                   static_cast<Word>(static_cast<SWord>(rt) >>
+                                     inst.shamt));
+            break;
+          case Op::Sllv: setReg(inst.rd, rt << (rs & 31)); break;
+          case Op::Srlv: setReg(inst.rd, rt >> (rs & 31)); break;
+          case Op::Srav:
+            setReg(inst.rd,
+                   static_cast<Word>(static_cast<SWord>(rt) >>
+                                     (rs & 31)));
+            break;
+          case Op::Addu: setReg(inst.rd, rs + rt); break;
+          case Op::Subu: setReg(inst.rd, rs - rt); break;
+          case Op::And:  setReg(inst.rd, rs & rt); break;
+          case Op::Or:   setReg(inst.rd, rs | rt); break;
+          case Op::Xor:  setReg(inst.rd, rs ^ rt); break;
+          case Op::Nor:  setReg(inst.rd, ~(rs | rt)); break;
+          case Op::Slt:
+            setReg(inst.rd,
+                   static_cast<SWord>(rs) < static_cast<SWord>(rt));
+            break;
+          case Op::Sltu: setReg(inst.rd, rs < rt); break;
+          case Op::Mult: {
+            std::int64_t prod = static_cast<std::int64_t>(
+                static_cast<SWord>(rs)) * static_cast<SWord>(rt);
+            h_->lo_ = static_cast<Word>(prod);
+            h_->hi_ = static_cast<Word>(prod >> 32);
+            charge(opExecuteExtraCycles(inst.op, cost));
+            break;
+          }
+          case Op::Multu: {
+            std::uint64_t prod = static_cast<std::uint64_t>(rs) * rt;
+            h_->lo_ = static_cast<Word>(prod);
+            h_->hi_ = static_cast<Word>(prod >> 32);
+            charge(opExecuteExtraCycles(inst.op, cost));
+            break;
+          }
+          case Op::Div:
+            if (rt == 0) {
+                h_->lo_ = 0xffffffffu;
+                h_->hi_ = rs;
+            } else if (rs == 0x80000000u && rt == 0xffffffffu) {
+                h_->lo_ = 0x80000000u;
+                h_->hi_ = 0;
+            } else {
+                h_->lo_ = static_cast<Word>(static_cast<SWord>(rs) /
+                                        static_cast<SWord>(rt));
+                h_->hi_ = static_cast<Word>(static_cast<SWord>(rs) %
+                                        static_cast<SWord>(rt));
+            }
+            charge(opExecuteExtraCycles(inst.op, cost));
+            break;
+          case Op::Divu:
+            if (rt == 0) {
+                h_->lo_ = 0xffffffffu;
+                h_->hi_ = rs;
+            } else {
+                h_->lo_ = rs / rt;
+                h_->hi_ = rs % rt;
+            }
+            charge(opExecuteExtraCycles(inst.op, cost));
+            break;
+          case Op::Mfhi: setReg(inst.rd, h_->hi_); break;
+          case Op::Mthi: h_->hi_ = rs; break;
+          case Op::Mflo: setReg(inst.rd, h_->lo_); break;
+          case Op::Mtlo: h_->lo_ = rs; break;
+          case Op::Addiu: setReg(inst.rt, rs + inst.simm); break;
+          case Op::Slti:
+            setReg(inst.rt, static_cast<SWord>(rs) <
+                            static_cast<SWord>(inst.simm));
+            break;
+          case Op::Sltiu: setReg(inst.rt, rs < inst.simm); break;
+          case Op::Andi:  setReg(inst.rt, rs & inst.imm); break;
+          case Op::Ori:   setReg(inst.rt, rs | inst.imm); break;
+          case Op::Xori:  setReg(inst.rt, rs ^ inst.imm); break;
+          case Op::Lui:   setReg(inst.rt, inst.imm << 16); break;
+          case Op::J:
+            h_->stats_.branches++;
+            staged = ((pc + 4) & 0xf0000000u) | (inst.target << 2);
+            h_->branchTaken_ = true;
+            charge(opTakenControlExtraCycles(inst.op, cost));
+            break;
+          case Op::Jal:
+            setReg(RA, pc + 8);
+            h_->stats_.branches++;
+            staged = ((pc + 4) & 0xf0000000u) | (inst.target << 2);
+            h_->branchTaken_ = true;
+            charge(opTakenControlExtraCycles(inst.op, cost));
+            break;
+          case Op::Jr:
+            h_->stats_.branches++;
+            staged = rs;
+            h_->branchTaken_ = true;
+            charge(opTakenControlExtraCycles(inst.op, cost));
+            break;
+          case Op::Jalr:
+            setReg(inst.rd, pc + 8);
+            h_->stats_.branches++;
+            staged = rs;
+            h_->branchTaken_ = true;
+            charge(opTakenControlExtraCycles(inst.op, cost));
+            break;
+          case Op::Beq:
+            h_->stats_.branches++;
+            if (rs == rt) {
+                staged = pc + 4 + (inst.simm << 2);
+                h_->branchTaken_ = true;
+                charge(opTakenControlExtraCycles(inst.op, cost));
+            }
+            break;
+          case Op::Bne:
+            h_->stats_.branches++;
+            if (rs != rt) {
+                staged = pc + 4 + (inst.simm << 2);
+                h_->branchTaken_ = true;
+                charge(opTakenControlExtraCycles(inst.op, cost));
+            }
+            break;
+          case Op::Blez:
+            h_->stats_.branches++;
+            if (static_cast<SWord>(rs) <= 0) {
+                staged = pc + 4 + (inst.simm << 2);
+                h_->branchTaken_ = true;
+                charge(opTakenControlExtraCycles(inst.op, cost));
+            }
+            break;
+          case Op::Bgtz:
+            h_->stats_.branches++;
+            if (static_cast<SWord>(rs) > 0) {
+                staged = pc + 4 + (inst.simm << 2);
+                h_->branchTaken_ = true;
+                charge(opTakenControlExtraCycles(inst.op, cost));
+            }
+            break;
+          case Op::Bltz:
+            h_->stats_.branches++;
+            if (static_cast<SWord>(rs) < 0) {
+                staged = pc + 4 + (inst.simm << 2);
+                h_->branchTaken_ = true;
+                charge(opTakenControlExtraCycles(inst.op, cost));
+            }
+            break;
+          case Op::Bgez:
+            h_->stats_.branches++;
+            if (static_cast<SWord>(rs) >= 0) {
+                staged = pc + 4 + (inst.simm << 2);
+                h_->branchTaken_ = true;
+                charge(opTakenControlExtraCycles(inst.op, cost));
+            }
+            break;
+          case Op::Bltzal:
+            setReg(RA, pc + 8);
+            h_->stats_.branches++;
+            if (static_cast<SWord>(rs) < 0) {
+                staged = pc + 4 + (inst.simm << 2);
+                h_->branchTaken_ = true;
+                charge(opTakenControlExtraCycles(inst.op, cost));
+            }
+            break;
+          case Op::Bgezal:
+            setReg(RA, pc + 8);
+            h_->stats_.branches++;
+            if (static_cast<SWord>(rs) >= 0) {
+                staged = pc + 4 + (inst.simm << 2);
+                h_->branchTaken_ = true;
+                charge(opTakenControlExtraCycles(inst.op, cost));
+            }
+            break;
+          default:
+            goto general;
+        }
+        // tail for the inline subset: never memory, never an
+        // exception, never a redirect, never invalidates the
+        // fetch cache
+        h_->consecutiveStores_ = 0;
+        if (observer_)
+            observer_->onInst(pc, inst, h_->stats_.cycles - cycles_before);
+        h_->prevWasControl_ = (inst.flags & DecodedInst::FlagControl) != 0;
+        pc = npc;
+        npc = staged;
+        if (done >= limit)
+            break;
+        // one compare covers "still in the cached page" and "still
+        // word-aligned" (h_->fetchVbase_ has zero low bits)
+        if ((pc ^ h_->fetchVbase_) & 0xfffff003u)
+            break;
+        continue;
+
+      general:
+        // everything else goes through the reference execute() on
+        // synced member state, replaying step()'s tail exactly
+        h_->pc_ = pc;
+        h_->npc_ = npc;
+        h_->stagedNpc_ = staged;
+        h_->excRaised_ = false;
+        h_->branchTaken_ = false;
+        execute(inst);
+        if (h_->excRaised_) {
+            // takeException already redirected h_->pc_/h_->npc_
+            sync = false;
+            break;
+        }
+        if (!(inst.flags & DecodedInst::FlagMemory))
+            h_->consecutiveStores_ = 0;
+        if (observer_)
+            observer_->onInst(pc, inst, h_->stats_.cycles - cycles_before);
+        if (h_->redirect_) {
+            h_->redirect_ = false;
+            sync = false;
+            break;
+        }
+        h_->prevWasControl_ = (inst.flags & DecodedInst::FlagControl) != 0;
+        h_->pc_ = h_->npc_;
+        h_->npc_ = h_->stagedNpc_;
+        pc = h_->pc_;
+        npc = h_->npc_;
+        if (h_->halted_ || done >= limit)
+            break;
+        if ((pc ^ h_->fetchVbase_) & 0xfffff003u)
+            break;
+        // the cached translation and decoded page can only go
+        // stale behind our back via a store (page write version)
+        // or a fence-class instruction (TLB/CP0 write, host call);
+        // anything else leaves them valid by construction
+        if (inst.flags &
+            (DecodedInst::FlagStore | DecodedInst::FlagFence)) {
+            if (inst.flags & DecodedInst::FlagFence)
+                break;
+            if (*h_->fetchMemVer_ != h_->fetchVersion_)
+                break;
+        }
+    }
+    if (sync) {
+        h_->pc_ = pc;
+        h_->npc_ = npc;
+    }
 }
 
+/**
+ * The one run loop, for both interpreters. Each pass checks halt and
+ * the stop-PC set (never before the first instruction, so a run
+ * resumes from a stop), fires the fault injector's due events, and
+ * runs one unit: a block with the fast interpreter, one step()
+ * without. The unit is clipped to the budget and to the injector's
+ * next event, so every event fires at exactly the instret it names; a
+ * due but deferred event clips the unit to one instruction.
+ */
 RunResult
 Cpu::run(InstCount max_insts)
 {
-    // A fault injector only forces the reference loop while it has
-    // pending events for this hart; otherwise (none scheduled, or all
-    // delivered) execution is bit-identical to an injector-free run.
-    FaultInjector *injector = config_.faultInjector;
-    if (injector && !injector->wants(h_->id()))
-        injector = nullptr;
-
-    if (config_.fastInterpreter && h_->breakpoints_.empty() && !injector)
-        return runFast(max_insts);
-
+    FaultInjector *const injector = config_.faultInjector;
+    const bool fast = config_.fastInterpreter;
+    const InstCount start = h_->stats_.instructions;
     RunResult result;
-    bool first = true;
-    while (result.instsExecuted < max_insts) {
-        if (h_->halted_) {
-            result.reason = StopReason::Halted;
-            return result;
-        }
-        if (!first && !h_->breakpoints_.empty() &&
-            h_->breakpoints_.count(h_->pc_) != 0) {
+    for (bool first = true;; first = false) {
+        InstCount now = h_->stats_.instructions;
+        result.instsExecuted = now - start;
+        if (result.instsExecuted >= max_insts || h_->halted_)
+            break;
+        if (!first && h_->hasBreakpoints() && h_->isBreakpoint(h_->pc_)) {
             result.reason = StopReason::Breakpoint;
             return result;
         }
-        first = false;
-        if (injector)
+        InstCount unit = max_insts - result.instsExecuted;
+        if (injector) {
             injector->maybeFire(*this);
-        InstCount before = h_->stats_.instructions;
-        step();
-        result.instsExecuted += h_->stats_.instructions - before;
-        if (h_->halted_) {
-            result.reason = StopReason::Halted;
-            return result;
+            InstCount due = injector->nextDue(h_->id_);
+            unit = std::min(unit, due > now ? due - now : 1);
         }
+        if (fast)
+            runBlock(unit);
+        else
+            step();
     }
-    result.reason = StopReason::InstLimit;
+    result.reason = h_->halted_ ? StopReason::Halted : StopReason::InstLimit;
     return result;
 }
 

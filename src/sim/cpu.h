@@ -144,15 +144,13 @@ class Cpu
 
     // -- execution ---------------------------------------------------------
 
-    /** Execute one instruction (or take one exception). */
-    void step();
-
     /**
-     * Run until halt, breakpoint, or @p max_insts instructions.
+     * Run until halt, breakpoint, or @p max_insts instructions. The
+     * same loop serves both interpreters; see cpu.cc.
      */
     RunResult run(InstCount max_insts);
 
-    /** Stop the next run()/step(). */
+    /** Stop the next run(). */
     void requestHalt() { h_->requestHalt(); }
     bool halted() const { return h_->halted(); }
     /** Allow execution again after a halt. */
@@ -238,8 +236,9 @@ class Cpu
 
   private:
     // execution helpers
+    /** Execute one instruction (or take one exception). */
+    void step();
     void execute(const DecodedInst &inst);
-    void executeTail(const DecodedInst &inst, Cycles cycles_before);
     bool memAddress(const DecodedInst &inst, unsigned size,
                     AccessType type, Addr &paddr_out);
     // fast-interpreter helpers
@@ -249,7 +248,6 @@ class Cpu
                          TranslateResult &out);
     void microDtlbFill(Addr vaddr, AccessType type,
                        const TranslateResult &tr);
-    const DecodedInst *fetchFast();
     const DecodedInst *refillFetchFast(const TranslateResult &tr);
     // guest data access, routed through the store buffer when attached
     Word loadWord(Addr paddr);
@@ -259,7 +257,7 @@ class Cpu
     void storeHalf(Addr paddr, Half value);
     void storeByte(Addr paddr, Byte value);
     void noteFetchPage(Addr paddr);
-    RunResult runFast(InstCount max_insts);
+    void runBlock(InstCount limit);
     void takeException(ExcCode code, Addr bad_vaddr, bool has_bad_vaddr,
                        bool refill);
     bool tryUserVector(ExcCode code, Addr epc, Addr bad_vaddr,

@@ -1,5 +1,7 @@
 #include "sim/faultinject.h"
 
+#include <algorithm>
+
 #include "common/logging.h"
 #include "sim/cp0.h"
 #include "sim/cpu.h"
@@ -36,13 +38,14 @@ FaultInjector::addEvent(const FaultEvent &event)
     pending_.push_back(event);
 }
 
-bool
-FaultInjector::wants(unsigned hart) const
+InstCount
+FaultInjector::nextDue(unsigned hart) const
 {
+    InstCount due = kNever;
     for (const FaultEvent &e : pending_)
         if (e.hart == hart)
-            return true;
-    return false;
+            due = std::min(due, e.atInst);
+    return due;
 }
 
 void

@@ -3,9 +3,9 @@
  * Seeded, deterministic fault injection.
  *
  * A FaultInjector holds a list of FaultEvents, each bound to a hart
- * and an instruction count. The interpreter's reference loop asks the
- * injector before every step whether an event is due and, if so, the
- * injector perturbs architectural or memory state in place:
+ * and an instruction count. Cpu::run fires the due events between
+ * run units, and clips each unit to end where the next event is due;
+ * a firing event perturbs architectural or memory state in place:
  *
  *  - MemBitFlip: flip one bit of a physical-memory word,
  *  - TlbCorrupt: clear the valid bit of a TLB entry *in place* (the
@@ -21,12 +21,11 @@
  *    stub with a branch-to-self, forcing the delivery watchdog to
  *    demote the process to kernel-mediated delivery.
  *
- * Determinism: events fire at fixed (hart, instret) points, all
- * randomness comes from the caller (common/rng.h), and a machine
- * whose injector has no pending events for a hart behaves
- * bit-identically (state, cycles, stats) to one with no injector at
- * all -- Cpu::run only leaves the predecoded fast path while events
- * are pending.
+ * Determinism: events fire at fixed (hart, instret) points, whichever
+ * interpreter runs the hart, and all randomness comes from the caller
+ * (common/rng.h). A machine whose injector has no pending events for
+ * a hart behaves bit-identically (state, cycles, stats) to one with
+ * no injector at all.
  */
 
 #ifndef UEXC_SIM_FAULTINJECT_H
@@ -79,18 +78,21 @@ class FaultInjector
     /** Schedule an injection. */
     void addEvent(const FaultEvent &event);
 
-    /**
-     * Whether any scheduled event for @p hart has not fired yet. The
-     * interpreter stays on the (hookless) fast path whenever this is
-     * false, which is what makes an idle injector zero-overhead.
-     */
-    bool wants(unsigned hart) const;
+    /** nextDue() of a hart with no pending events. */
+    static constexpr InstCount kNever = ~InstCount(0);
 
     /**
-     * Fire every due event for the bound hart of @p cpu. Called by the
-     * reference interpreter loop before each step. SpuriousException
-     * events defer (stay pending) until the hart is in user mode, at a
-     * kuseg PC, and not in a branch delay slot; the deferral is itself
+     * The smallest instret at which a pending event for @p hart is
+     * due, or kNever. A value at or below the hart's instret names a
+     * deferred event, which is retried before every instruction.
+     */
+    InstCount nextDue(unsigned hart) const;
+
+    /**
+     * Fire every due event for the bound hart of @p cpu. Called by
+     * Cpu::run before each run unit. SpuriousException events defer
+     * (stay pending) until the hart is in user mode, at a kuseg PC,
+     * and not in a branch delay slot; the deferral is itself
      * deterministic.
      */
     void maybeFire(Cpu &cpu);

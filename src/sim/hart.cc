@@ -1,7 +1,5 @@
 #include "sim/hart.h"
 
-#include <algorithm>
-
 #include "sim/snapshot.h"
 
 namespace uexc::sim {
@@ -69,10 +67,8 @@ Hart::snapshotSave(SnapshotWriter &w) const
     w.u32(consecutiveStores_);
     w.boolean(halted_);
 
-    std::vector<Addr> bps(breakpoints_.begin(), breakpoints_.end());
-    std::sort(bps.begin(), bps.end());
-    w.u32(std::uint32_t(bps.size()));
-    for (Addr a : bps)
+    w.u32(std::uint32_t(breakpoints_.size()));
+    for (Addr a : breakpoints_)
         w.u32(a);
 
     w.u64(stats_.instructions);
@@ -133,7 +129,7 @@ Hart::snapshotLoad(SnapshotReader &r)
     breakpoints_.clear();
     std::uint32_t nbps = r.u32();
     for (std::uint32_t i = 0; i < nbps; i++)
-        breakpoints_.insert(r.u32());
+        addBreakpoint(r.u32());
 
     stats_.instructions = r.u64();
     stats_.cycles = r.u64();

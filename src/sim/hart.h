@@ -23,11 +23,12 @@
 #ifndef UEXC_SIM_HART_H
 #define UEXC_SIM_HART_H
 
+#include <algorithm>
 #include <array>
 #include <memory>
 #include <optional>
 #include <unordered_map>
-#include <unordered_set>
+#include <vector>
 
 #include "common/types.h"
 #include "sim/cache.h"
@@ -84,9 +85,9 @@ struct CpuConfig
     std::size_t dcacheLineBytes = 16;
     /**
      * Optional deterministic fault injector (not owned; must outlive
-     * the machine). A hart only leaves the predecoded fast path while
-     * the injector has pending events for it, so a null or drained
-     * injector is bit-identical to running without one.
+     * the machine). Cpu::run fires its events between run units and
+     * changes nothing else, so a null or drained injector is
+     * bit-identical to running without one.
      */
     FaultInjector *faultInjector = nullptr;
 };
@@ -157,10 +158,35 @@ class Hart
     bool halted() const { return halted_; }
     void clearHalt() { halted_ = false; }
 
-    void addBreakpoint(Addr addr) { breakpoints_.insert(addr); }
-    void removeBreakpoint(Addr addr) { breakpoints_.erase(addr); }
+    void addBreakpoint(Addr addr)
+    {
+        auto it = std::lower_bound(breakpoints_.begin(),
+                                   breakpoints_.end(), addr);
+        if (it == breakpoints_.end() || *it != addr)
+            breakpoints_.insert(it, addr);
+    }
+    void removeBreakpoint(Addr addr)
+    {
+        auto it = std::lower_bound(breakpoints_.begin(),
+                                   breakpoints_.end(), addr);
+        if (it != breakpoints_.end() && *it == addr)
+            breakpoints_.erase(it);
+    }
     void clearBreakpoints() { breakpoints_.clear(); }
     bool hasBreakpoints() const { return !breakpoints_.empty(); }
+    bool isBreakpoint(Addr pc) const
+    {
+        return std::binary_search(breakpoints_.begin(),
+                                  breakpoints_.end(), pc);
+    }
+    /** Whether a breakpoint lies in the 4 KB page based at @p vbase. */
+    bool breakpointInPage(Addr vbase) const
+    {
+        auto it = std::lower_bound(breakpoints_.begin(),
+                                   breakpoints_.end(), vbase);
+        return it != breakpoints_.end() &&
+               *it - vbase < PhysMemory::PageBytes;
+    }
 
     // -- statistics -----------------------------------------------------
 
@@ -203,8 +229,8 @@ class Hart
      * on a conflict it restores every hart and re-runs the round
      * serially. Unlike the snapshot image this is host-side and
      * value-typed — no serialization, no format versioning.
-     * Breakpoints are not included (they cannot change mid-round: the
-     * scheduler never runs a round while any hart has breakpoints).
+     * Breakpoints are not included: the scheduler never runs a round
+     * while any hart has one, so they cannot change mid-round.
      */
     struct RoundContext
     {
@@ -288,7 +314,8 @@ class Hart
     unsigned consecutiveStores_ = 0;
 
     bool halted_ = false;
-    std::unordered_set<Addr> breakpoints_;
+    /** The stop-PC set, sorted and unique (the snapshot order). */
+    std::vector<Addr> breakpoints_;
 
     CpuStats stats_;
 

@@ -322,7 +322,8 @@ Machine::runBarrier(InstCount max_insts)
             if (harts_[order[k]]->hasBreakpoints())
                 eligible = false;
             else if (config_.cpu.faultInjector &&
-                     config_.cpu.faultInjector->wants(order[k]))
+                     config_.cpu.faultInjector->nextDue(order[k]) !=
+                         FaultInjector::kNever)
                 eligible = false;
         }
 

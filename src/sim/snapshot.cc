@@ -102,7 +102,7 @@ snapshotTagName(Word tag)
 
 // -- memory-section serializer -------------------------------------------
 
-void
+SnapshotFrame
 writeMemorySection(
     SnapshotWriter &w, Word tag, std::uint64_t memBytes,
     const std::function<void(std::uint32_t page, Byte *dst,
@@ -132,7 +132,7 @@ writeMemorySection(
         w.u32(p);
         w.bytes(page.data(), len);
     }
-    w.endSection();
+    return w.endSection();
 }
 
 // -- SnapshotWriter ------------------------------------------------------
@@ -191,16 +191,19 @@ SnapshotWriter::beginSection(Word tag)
     payloadStart_ = buf_.size();
 }
 
-void
+SnapshotFrame
 SnapshotWriter::endSection()
 {
     if (!inSection_)
         UEXC_PANIC("snapshot writer: endSection outside a section");
     inSection_ = false;
-    std::size_t payload = buf_.size() - payloadStart_;
-    putLe32(buf_, payloadStart_ - 4, std::uint32_t(payload));
-    u32(snapshotCrc32(buf_.data() + payloadStart_, payload));
+    SnapshotFrame frame;
+    frame.length = buf_.size() - payloadStart_;
+    frame.crc = snapshotCrc32(buf_.data() + payloadStart_, frame.length);
+    putLe32(buf_, payloadStart_ - 4, std::uint32_t(frame.length));
+    u32(frame.crc);
     sectionCount_++;
+    return frame;
 }
 
 std::vector<Byte>

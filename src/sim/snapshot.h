@@ -90,6 +90,13 @@ constexpr Word kSnapshotMemoryTag = snapshotTag('M', 'E', 'M', ' ');
  *  migration layer's dirty tracking reuse the snapshot format. */
 constexpr std::size_t kSnapshotPageBytes = 4096;
 
+/** What SnapshotWriter::endSection framed: payload length and CRC. */
+struct SnapshotFrame
+{
+    std::size_t length = 0;
+    std::uint32_t crc = 0;
+};
+
 /**
  * Byte layout of a serialized memory section, shared by
  * Machine::checkpoint and the pre-copy migration receiver:
@@ -108,8 +115,9 @@ constexpr std::size_t kSnapshotPageBytes = 4096;
  * may be short) into @p dst; it is called for live pages only.
  * @p pageIsZero is the elision predicate (PhysMemory::blockIsZero on
  * the source side), so the caller decides what a zero test costs.
+ * Returns the section's frame.
  */
-void writeMemorySection(
+SnapshotFrame writeMemorySection(
     class SnapshotWriter &w, Word tag, std::uint64_t memBytes,
     const std::function<void(std::uint32_t page, Byte *dst,
                              std::size_t len)> &readPage,
@@ -138,7 +146,7 @@ class SnapshotWriter
     void str(const std::string &s);
 
     void beginSection(Word tag);
-    void endSection();
+    SnapshotFrame endSection();
 
     /** Patch the header and footer and return the finished image. */
     std::vector<Byte> finish();

@@ -17,6 +17,7 @@
 #include <gtest/gtest.h>
 
 #include <functional>
+#include <utility>
 #include <vector>
 
 #include "core/microbench.h"
@@ -404,6 +405,79 @@ TEST(Differential, CacheModeledConfigIdenticalCycles)
         a.hcall(0);
     });
     d.run();
+}
+
+/**
+ * Stop PCs end a run at the same instruction on both interpreters: a
+ * page's first word, the middle of the page, and a branch delay slot,
+ * all on the page a hot loop spends most of its time in. Every stop
+ * is resumed with a fresh run(), so the fast interpreter alternates
+ * between one-instruction blocks on the stop page and whole blocks on
+ * the loop's other page; each run must end with identical state,
+ * cycles and statistics.
+ */
+TEST(Differential, StopPcsInAHotLoop)
+{
+    constexpr Addr kStopPage = kTestOrigin + 0x1000;
+    constexpr unsigned kIterations = 40;
+    auto body = [](Assembler &a) {
+        a.li32(T1, kIterations);
+        a.li32(A0, kTestOrigin + 0x2000);    // a data word
+        a.j("loop");
+        a.nop();
+        a.space(kStopPage - 16 - a.here());  // zero words are nops
+        a.label("loop");                     // last words of page 0
+        a.addiu(T0, T0, 3);
+        a.xor_(T2, T0, T1);
+        a.mult(T0, T2);
+        a.mflo(T3);
+        a.label("first");                    // kStopPage
+        a.addu(V0, V0, T3);
+        a.sw(V0, 0, A0);
+        a.j("middle");
+        a.nop();
+        a.space(kStopPage + 0x800 - a.here());
+        a.label("middle");
+        a.lw(T4, 0, A0);
+        a.addiu(T1, T1, -1);
+        a.bne(T1, Zero, "loop");
+        a.label("slot");
+        a.addu(V1, V1, T4);                  // delay slot
+        a.hcall(0);
+    };
+
+    MachineConfig paper = rt::micro::paperMachineConfig();
+    paper.memBytes = 1 << 20;
+    paper.cpu.fastInterpreter = false;
+    MachineConfig paper_fast = paper;
+    paper_fast.cpu.fastInterpreter = true;
+    for (auto [ref_config, fast_config] :
+         {std::pair{smallConfig(false), smallConfig(true)},
+          std::pair{paper, paper_fast}}) {
+        DiffPair d(ref_config, fast_config);
+        Program p = d.ref.loadAsm(body);
+        d.fst.loadAsm(body);
+        const Addr stops[] = {p.symbol("first"), p.symbol("middle"),
+                              p.symbol("slot")};
+        ASSERT_EQ(stops[0], kStopPage);
+        ASSERT_EQ(stops[1], kStopPage + 0x800);
+        for (Addr stop : stops) {
+            d.ref.cpu().addBreakpoint(stop);
+            d.fst.cpu().addBreakpoint(stop);
+        }
+
+        unsigned hits = 0;
+        while (!d.ref.cpu().halted() && hits <= 3 * kIterations) {
+            d.run();
+            if (d.ref.cpu().halted())
+                break;
+            EXPECT_EQ(d.ref.cpu().pc(), stops[hits % 3]) << "stop " << hits;
+            EXPECT_EQ(d.ref.cpu().hart().inDelaySlot(), hits % 3 == 2);
+            hits++;
+        }
+        EXPECT_EQ(hits, 3 * kIterations);
+        EXPECT_TRUE(d.fst.cpu().halted());
+    }
 }
 
 TEST(Differential, MicrobenchTimingsIdentical)

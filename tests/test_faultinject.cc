@@ -36,6 +36,8 @@
 #include "core/chaos.h"
 #include "os/layout.h"
 #include "sim/faultinject.h"
+#include "sim/snapshot.h"
+#include "sim_test_util.h"
 
 namespace uexc::rt {
 namespace {
@@ -215,6 +217,193 @@ TEST(FaultInject, DataBitFlipIsOverwrittenByRecovery)
                   rig.physOf(kRegion) + 64, 7, 0});
     rig.run();
     EXPECT_EQ(rig.words(), plain.words());
+}
+
+/** Records the instret before the first instruction retired inside
+ *  [begin, end). */
+struct WindowProbe : sim::InstObserver
+{
+    WindowProbe(const sim::Cpu &cpu, Addr begin, Addr end)
+        : cpu(cpu), begin(begin), end(end)
+    {
+    }
+    void onInst(Addr pc, const sim::DecodedInst &, Cycles) override
+    {
+        if (!found && pc >= begin && pc < end) {
+            found = true;
+            at = cpu.instret() - 1;
+        }
+    }
+    void onException(sim::ExcCode, Addr, Addr) override {}
+
+    const sim::Cpu &cpu;
+    Addr begin, end;
+    bool found = false;
+    InstCount at = 0;
+};
+
+/** What one interpreter made of a fault plan. */
+struct PlanOutcome
+{
+    std::vector<sim::FiredEvent> fired;
+    std::string error;
+    std::vector<Word> words;
+    std::uint32_t memCrc = 0;
+    Cycles cycles = 0;
+    InstCount instret = 0;
+};
+
+PlanOutcome
+runPlan(bool fast, const std::vector<sim::FaultEvent> &plan)
+{
+    FaultInjector inj;
+    chaos::RigConfig cfg;
+    cfg.fastInterpreter = fast;
+    Rig rig(&inj, cfg);
+    for (const sim::FaultEvent &e : plan)
+        inj.addEvent(e);
+    PlanOutcome out;
+    try {
+        rig.runTo(chaos::kChaosOps);
+        out.fired = inj.fired(); // the final phase clears the injector
+        rig.run();
+    } catch (const GuestError &e) {
+        out.fired = inj.fired();
+        out.error = e.what();
+    }
+    out.words = rig.words();
+    sim::PhysMemory &mem = rig.machine().mem();
+    std::vector<Byte> bytes(mem.size());
+    mem.readBlock(0, bytes.data(), bytes.size());
+    out.memCrc = sim::snapshotCrc32(bytes.data(), bytes.size());
+    out.cycles = rig.env().cpu().cycles();
+    out.instret = rig.env().cpu().instret();
+    return out;
+}
+
+/**
+ * The fast interpreter fires every injection at the same point as the
+ * reference: one event of each kind, the spurious refill scheduled
+ * inside the stub's masked restore window so it defers, and the two
+ * runs must deliver identical (event, firedAt, pc) lists and end in
+ * identical memory, readback words, cycles and instret.
+ */
+TEST(FaultInject, FastInterpreterFiresLikeTheReference)
+{
+    setLoggingEnabled(false);
+    // Find when the stub first executes inside its masked window.
+    FaultInjector dry_inj;
+    Rig dry(&dry_inj);
+    ASSERT_EQ(dry_inj.maskedPcWindows().size(), 1u);
+    auto [begin, end] = dry_inj.maskedPcWindows().front();
+    WindowProbe probe(dry.env().cpu(), begin, end);
+    dry.env().cpu().setObserver(&probe);
+    dry.runTo(chaos::kOpsPerRound);
+    dry.env().cpu().setObserver(nullptr);
+    ASSERT_TRUE(probe.found);
+
+    Addr stub_page = dry.env().stubAddr() & ~(kPageBytes - 1);
+    Addr stub_pa = dry.physOf(stub_page) +
+                   (dry.env().stubAddr() & (kPageBytes - 1));
+    const InstCount t = probe.at;
+    const std::vector<sim::FaultEvent> plan = {
+        {FaultKind::SpuriousException, 0, t, kScratch, 0, 0},
+        {FaultKind::MemBitFlip, 0, t + 300, dry.physOf(kRegion) + 64, 7,
+         0},
+        {FaultKind::TlbSpuriousMiss, 0, t + 600, 0, 0, 5},
+        {FaultKind::HandlerRunaway, 0, t + 900, stub_pa, 0, 0},
+        {FaultKind::TlbCorrupt, 0, t + 3000, 0, 0, 61},
+    };
+
+    PlanOutcome ref = runPlan(false, plan);
+    PlanOutcome fst = runPlan(true, plan);
+
+    ASSERT_EQ(ref.fired.size(), plan.size()) << ref.error;
+    for (std::size_t i = 0; i < plan.size(); i++)
+        EXPECT_EQ(ref.fired[i].event.kind, plan[i].kind) << i;
+    EXPECT_GT(ref.fired[0].firedAt, t) << "the spurious refill did not defer";
+    ASSERT_EQ(fst.fired.size(), ref.fired.size());
+    for (std::size_t i = 0; i < ref.fired.size(); i++) {
+        SCOPED_TRACE(i);
+        EXPECT_EQ(fst.fired[i].event.kind, ref.fired[i].event.kind);
+        EXPECT_EQ(fst.fired[i].event.atInst, ref.fired[i].event.atInst);
+        EXPECT_EQ(fst.fired[i].firedAt, ref.fired[i].firedAt);
+        EXPECT_EQ(fst.fired[i].pc, ref.fired[i].pc);
+    }
+    EXPECT_EQ(fst.error, ref.error);
+    EXPECT_EQ(fst.words, ref.words);
+    EXPECT_EQ(fst.memCrc, ref.memCrc);
+    EXPECT_EQ(fst.cycles, ref.cycles);
+    EXPECT_EQ(fst.instret, ref.instret);
+    setLoggingEnabled(true);
+}
+
+/**
+ * A spurious refill deferred out of a branch delay slot fires one
+ * instruction later, at the branch target, on both interpreters; the
+ * fast interpreter must not run on to the end of its block first.
+ * A bare machine keeps the loop's user page free of stop PCs, so its
+ * blocks are long.
+ */
+TEST(FaultInject, DelaySlotDeferralEndsMidBlock)
+{
+    constexpr Addr kUserCode = 0x00010000u;
+    constexpr Addr kCodePhys = 0x00040000u;
+    constexpr unsigned kAsid = 5;
+    using sim::K0, sim::T0, sim::T2, sim::Zero;
+    sim::Assembler a(kUserCode);
+    a.label("loop");
+    a.addiu(T0, T0, 1);
+    a.bne(T0, Zero, "loop");
+    a.addiu(T2, T2, 2);  // delay slot
+    sim::Program prog = a.finalize();
+    // return to EPC: the injected refill needs no repair
+    sim::Assembler h(sim::Cpu::RefillVector);
+    h.mfc0(K0, sim::cp0reg::Epc);
+    h.jr(K0);
+    h.rfe();
+    sim::Program handler = h.finalize();
+
+    // instret 2 and 53 sit on the delay slot, 30 does not
+    const std::vector<sim::FaultEvent> plan = {
+        {FaultKind::SpuriousException, 0, 2, kScratch, 0, 0},
+        {FaultKind::SpuriousException, 0, 30, kScratch, 0, 0},
+        {FaultKind::SpuriousException, 0, 53, kScratch, 0, 0},
+    };
+    std::vector<std::vector<sim::FiredEvent>> fired;
+    std::vector<Word> t2;
+    std::vector<Cycles> cycles;
+    for (bool fast : {false, true}) {
+        FaultInjector inj;
+        sim::MachineConfig cfg;
+        cfg.memBytes = 1 << 20;
+        cfg.cpu.fastInterpreter = fast;
+        cfg.cpu.faultInjector = &inj;
+        sim::Machine m(cfg);
+        m.load(handler);
+        for (Word i = 0; i < prog.words.size(); i++)
+            m.mem().writeWord(kCodePhys + 4 * i, prog.words[i]);
+        sim::testutil::mapPage(m, kUserCode, kCodePhys, kAsid, 1, false);
+        sim::testutil::enterUserMode(m, kAsid);
+        m.cpu().setPc(kUserCode);
+        for (const sim::FaultEvent &e : plan)
+            inj.addEvent(e);
+        EXPECT_EQ(m.run(1000).instsExecuted, 1000u);
+        fired.push_back(inj.fired());
+        t2.push_back(m.cpu().reg(T2));
+        cycles.push_back(m.cpu().cycles());
+    }
+    ASSERT_EQ(fired[0].size(), plan.size());
+    EXPECT_EQ(fired[0][0].firedAt, 3u);
+    EXPECT_EQ(fired[0][1].firedAt, 30u);
+    EXPECT_EQ(fired[0][2].firedAt, 54u);
+    ASSERT_EQ(fired[1].size(), fired[0].size());
+    for (std::size_t i = 0; i < fired[0].size(); i++) {
+        EXPECT_EQ(fired[1][i].firedAt, fired[0][i].firedAt) << i;
+        EXPECT_EQ(fired[1][i].pc, fired[0][i].pc) << i;
+    }
+    EXPECT_EQ(t2[1], t2[0]);
+    EXPECT_EQ(cycles[1], cycles[0]);
 }
 
 // -- the seeded chaos campaign ------------------------------------------
