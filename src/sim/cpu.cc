@@ -342,26 +342,6 @@ Cpu::chargeDataAccess(Addr paddr, bool cacheable)
 
 // execution ------------------------------------------------------------------
 
-void
-Cpu::doBranch(Op op, bool taken, Addr target)
-{
-    h_->stats_.branches++;
-    if (taken) {
-        h_->stagedNpc_ = target;
-        h_->branchTaken_ = true;
-        charge(opTakenControlExtraCycles(op, config_.cost));
-    }
-}
-
-void
-Cpu::doJump(Op op, Addr target)
-{
-    h_->stats_.branches++;
-    h_->stagedNpc_ = target;
-    h_->branchTaken_ = true;
-    charge(opTakenControlExtraCycles(op, config_.cost));
-}
-
 bool
 Cpu::memAddress(const DecodedInst &inst, unsigned size, AccessType type,
                 Addr &paddr_out)
@@ -443,13 +423,192 @@ Cpu::refillFetchFast(const TranslateResult &tr)
     return &h_->fetchPage_->insts[(h_->pc_ & 0xfffu) >> 2];
 }
 
+/**
+ * The one implementation of every op that cannot raise an exception,
+ * touch memory or reach CP0, the TLB or the host: shifts, ALU ops,
+ * multiply/divide, hi/lo moves, the immediate forms except addi, and
+ * every branch and jump. The instruction's address comes in @p pc, and
+ * a taken branch or jump stages its target in @p staged (npc + 4 on
+ * entry), so the fast interpreter's block loop can keep both in host
+ * registers while step() passes the member latches. Returns false,
+ * having done nothing, for every other op: those go to execute().
+ */
+[[gnu::always_inline]] inline bool
+Cpu::executeInline(const DecodedInst &inst, Addr pc, Addr &staged)
+{
+    const Word rs = h_->regs_[inst.rs];
+    const Word rt = h_->regs_[inst.rt];
+    const CostModel &cost = config_.cost;
+    // Every branch and jump counts; a taken one stages its target and
+    // pays the taken-transfer cycles.
+    auto transfer = [&](bool taken, Addr target) {
+        h_->stats_.branches++;
+        if (taken) {
+            staged = target;
+            charge(opTakenControlExtraCycles(inst.op, cost));
+        }
+        return true;
+    };
+    auto branch = [&](bool taken) {
+        return transfer(taken, pc + 4 + (inst.simm << 2));
+    };
+
+    switch (inst.op) {
+      // -- shifts ------------------------------------------------------
+      case Op::Sll:  setReg(inst.rd, rt << inst.shamt); return true;
+      case Op::Srl:  setReg(inst.rd, rt >> inst.shamt); return true;
+      case Op::Sra:
+        setReg(inst.rd,
+               static_cast<Word>(static_cast<SWord>(rt) >> inst.shamt));
+        return true;
+      case Op::Sllv: setReg(inst.rd, rt << (rs & 31)); return true;
+      case Op::Srlv: setReg(inst.rd, rt >> (rs & 31)); return true;
+      case Op::Srav:
+        setReg(inst.rd,
+               static_cast<Word>(static_cast<SWord>(rt) >> (rs & 31)));
+        return true;
+
+      // -- arithmetic ---------------------------------------------------
+      case Op::Addu: setReg(inst.rd, rs + rt); return true;
+      case Op::Subu: setReg(inst.rd, rs - rt); return true;
+      case Op::And:  setReg(inst.rd, rs & rt); return true;
+      case Op::Or:   setReg(inst.rd, rs | rt); return true;
+      case Op::Xor:  setReg(inst.rd, rs ^ rt); return true;
+      case Op::Nor:  setReg(inst.rd, ~(rs | rt)); return true;
+      case Op::Slt:
+        setReg(inst.rd, static_cast<SWord>(rs) < static_cast<SWord>(rt));
+        return true;
+      case Op::Sltu: setReg(inst.rd, rs < rt); return true;
+
+      case Op::Mult: {
+        std::int64_t prod = static_cast<std::int64_t>(
+            static_cast<SWord>(rs)) * static_cast<SWord>(rt);
+        h_->lo_ = static_cast<Word>(prod);
+        h_->hi_ = static_cast<Word>(prod >> 32);
+        charge(opExecuteExtraCycles(inst.op, cost));
+        return true;
+      }
+      case Op::Multu: {
+        std::uint64_t prod = static_cast<std::uint64_t>(rs) * rt;
+        h_->lo_ = static_cast<Word>(prod);
+        h_->hi_ = static_cast<Word>(prod >> 32);
+        charge(opExecuteExtraCycles(inst.op, cost));
+        return true;
+      }
+      case Op::Div:
+        if (rt == 0) {
+            // architecturally UNPREDICTABLE; we define a stable result
+            h_->lo_ = 0xffffffffu;
+            h_->hi_ = rs;
+        } else if (rs == 0x80000000u && rt == 0xffffffffu) {
+            h_->lo_ = 0x80000000u;  // INT_MIN / -1 wraps
+            h_->hi_ = 0;
+        } else {
+            h_->lo_ = static_cast<Word>(static_cast<SWord>(rs) /
+                                    static_cast<SWord>(rt));
+            h_->hi_ = static_cast<Word>(static_cast<SWord>(rs) %
+                                    static_cast<SWord>(rt));
+        }
+        charge(opExecuteExtraCycles(inst.op, cost));
+        return true;
+      case Op::Divu:
+        if (rt == 0) {
+            h_->lo_ = 0xffffffffu;
+            h_->hi_ = rs;
+        } else {
+            h_->lo_ = rs / rt;
+            h_->hi_ = rs % rt;
+        }
+        charge(opExecuteExtraCycles(inst.op, cost));
+        return true;
+      case Op::Mfhi: setReg(inst.rd, h_->hi_); return true;
+      case Op::Mthi: h_->hi_ = rs; return true;
+      case Op::Mflo: setReg(inst.rd, h_->lo_); return true;
+      case Op::Mtlo: h_->lo_ = rs; return true;
+
+      // -- immediate arithmetic -------------------------------------------
+      case Op::Addiu: setReg(inst.rt, rs + inst.simm); return true;
+      case Op::Slti:
+        setReg(inst.rt, static_cast<SWord>(rs) <
+                        static_cast<SWord>(inst.simm));
+        return true;
+      case Op::Sltiu: setReg(inst.rt, rs < inst.simm); return true;
+      case Op::Andi:  setReg(inst.rt, rs & inst.imm); return true;
+      case Op::Ori:   setReg(inst.rt, rs | inst.imm); return true;
+      case Op::Xori:  setReg(inst.rt, rs ^ inst.imm); return true;
+      case Op::Lui:   setReg(inst.rt, inst.imm << 16); return true;
+
+      // -- control: a link is written before the transfer is staged ------
+      case Op::Jal:
+        setReg(RA, pc + 8);
+        [[fallthrough]];
+      case Op::J:
+        return transfer(true,
+                        ((pc + 4) & 0xf0000000u) | (inst.target << 2));
+      case Op::Jalr:
+        setReg(inst.rd, pc + 8);
+        [[fallthrough]];
+      case Op::Jr:   return transfer(true, rs);
+      case Op::Beq:  return branch(rs == rt);
+      case Op::Bne:  return branch(rs != rt);
+      case Op::Blez: return branch(static_cast<SWord>(rs) <= 0);
+      case Op::Bgtz: return branch(static_cast<SWord>(rs) > 0);
+      case Op::Bltzal:
+        setReg(RA, pc + 8);
+        [[fallthrough]];
+      case Op::Bltz: return branch(static_cast<SWord>(rs) < 0);
+      case Op::Bgezal:
+        setReg(RA, pc + 8);
+        [[fallthrough]];
+      case Op::Bgez: return branch(static_cast<SWord>(rs) >= 0);
+
+      // -- everything else: execute() ------------------------------------
+      // Listed rather than defaulted, so that a new Op must be placed
+      // here or above before -Wswitch stops warning.
+      case Op::Invalid: case Op::Add: case Op::Sub: case Op::Addi:
+      case Op::Lb: case Op::Lbu: case Op::Lh: case Op::Lhu: case Op::Lw:
+      case Op::Sb: case Op::Sh: case Op::Sw:
+      case Op::Syscall: case Op::Break:
+      case Op::Mfc0: case Op::Mtc0: case Op::Tlbr: case Op::Tlbwi:
+      case Op::Tlbwr: case Op::Tlbp: case Op::Rfe:
+      case Op::Mfux: case Op::Mtux: case Op::Xret: case Op::Tlbmp:
+      case Op::Hcall:
+        return false;
+    }
+    return false;
+}
+
+/**
+ * Retire @p inst, fetched at @p pc, once it ran on the member latches:
+ * the tail of step() and of the block loop's execute() path. Returns
+ * false when the instruction raised an exception or redirected the PC
+ * (the latches then already hold where execution continues).
+ */
+inline bool
+Cpu::retire(const DecodedInst &inst, Addr pc, Cycles cycles_before)
+{
+    if (h_->excRaised_)
+        return false;
+    if (!(inst.flags & DecodedInst::FlagMemory))
+        h_->consecutiveStores_ = 0;
+    if (observer_)
+        observer_->onInst(pc, inst, h_->stats_.cycles - cycles_before);
+    if (h_->redirect_) {
+        h_->redirect_ = false;
+        return false;
+    }
+    h_->prevWasControl_ = (inst.flags & DecodedInst::FlagControl) != 0;
+    h_->pc_ = h_->npc_;
+    h_->npc_ = h_->stagedNpc_;
+    return true;
+}
+
 /** Execute one instruction (or take one exception). */
 void
 Cpu::step()
 {
     h_->cp0_.tickRandom();
     h_->excRaised_ = false;
-    h_->branchTaken_ = false;
     h_->stagedNpc_ = h_->npc_ + 4;
 
     Cycles cycles_before = h_->stats_.cycles;
@@ -484,34 +643,23 @@ Cpu::step()
     h_->stats_.instructions++;
     charge(config_.cost.baseCost);
     Addr inst_pc = h_->pc_;
-    execute(inst);
-    if (h_->excRaised_)
-        return;
-    if (!(inst.flags & DecodedInst::FlagMemory))
-        h_->consecutiveStores_ = 0;
-    if (observer_)
-        observer_->onInst(inst_pc, inst, h_->stats_.cycles - cycles_before);
-    if (h_->redirect_) {
-        h_->redirect_ = false;
-        return;
-    }
-    h_->prevWasControl_ = (inst.flags & DecodedInst::FlagControl) != 0;
-    h_->pc_ = h_->npc_;
-    h_->npc_ = h_->stagedNpc_;
+    if (!executeInline(inst, inst_pc, h_->stagedNpc_))
+        execute(inst);
+    retire(inst, inst_pc, cycles_before);
 }
 
 /**
  * One unit of the fast interpreter: while the fetch cache stays valid,
  * dispatch up to @p limit instructions straight off the decoded page
- * without going back through step()'s per-instruction call chain. A
- * fetch-cache miss (page change, self-modifying store, TLB or mode
- * change, unaligned PC) runs one reference step() instead, which
- * raises the right exception and refills the caches. Every statistics
- * update and cycle charge below is an exact replay of what step()
- * performs, in the same order, so the two interpreters stay
- * bit-identical. The block never leaves the cached page, so run()
- * sees every page crossing; on a page holding a stop PC the block is
- * one instruction, so run() checks the stop set before each one there.
+ * without going back through step()'s fetch. A fetch-cache miss (page
+ * change, self-modifying store, TLB or mode change, unaligned PC) runs
+ * one reference step() instead, which raises the right exception and
+ * refills the caches. Each instruction is charged and counted as
+ * step() does, in the same order, and executed by the same
+ * executeInline() or execute(), so the two interpreters stay
+ * bit-identical. The block never leaves the cached page, so run() sees
+ * every page crossing; on a page holding a stop PC the block is one
+ * instruction, so run() checks the stop set before each one there.
  */
 void
 Cpu::runBlock(InstCount limit)
@@ -534,12 +682,10 @@ Cpu::runBlock(InstCount limit)
     // PC sequencing lives in host registers inside the block loop:
     // the member round trip (store h_->pc_, reload it next iteration)
     // is the interpreter's longest serial dependence chain. The
-    // members are synced on every loop exit and before any
-    // instruction that can observe them (exceptions, jump links,
-    // CP0, memory - everything outside the inline subset below).
+    // members are synced on every loop exit and around execute(),
+    // which reads and writes them.
     Addr pc = h_->pc_;
     Addr npc = h_->npc_;
-    bool sync = true;
     while (true) {
         const DecodedInst &inst = h_->fetchPage_->insts[(pc & 0xfffu) >> 2];
         h_->cp0_.tickRandom();
@@ -553,254 +699,46 @@ Cpu::runBlock(InstCount limit)
         charge(config_.cost.baseCost);
         done++;
         Addr staged = npc + 4;
-        const Word rs = h_->regs_[inst.rs];
-        const Word rt = h_->regs_[inst.rt];
-        const CostModel &cost = config_.cost;
-        // Inline subset: instructions that cannot raise exceptions,
-        // touch memory, or reach CP0/TLB state. Each case is a
-        // transliteration of the corresponding execute() case with
-        // h_->pc_/h_->stagedNpc_ replaced by the locals; doBranch()/doJump()
-        // are expanded in place.
-        switch (inst.op) {
-          case Op::Sll:  setReg(inst.rd, rt << inst.shamt); break;
-          case Op::Srl:  setReg(inst.rd, rt >> inst.shamt); break;
-          case Op::Sra:
-            setReg(inst.rd,
-                   static_cast<Word>(static_cast<SWord>(rt) >>
-                                     inst.shamt));
-            break;
-          case Op::Sllv: setReg(inst.rd, rt << (rs & 31)); break;
-          case Op::Srlv: setReg(inst.rd, rt >> (rs & 31)); break;
-          case Op::Srav:
-            setReg(inst.rd,
-                   static_cast<Word>(static_cast<SWord>(rt) >>
-                                     (rs & 31)));
-            break;
-          case Op::Addu: setReg(inst.rd, rs + rt); break;
-          case Op::Subu: setReg(inst.rd, rs - rt); break;
-          case Op::And:  setReg(inst.rd, rs & rt); break;
-          case Op::Or:   setReg(inst.rd, rs | rt); break;
-          case Op::Xor:  setReg(inst.rd, rs ^ rt); break;
-          case Op::Nor:  setReg(inst.rd, ~(rs | rt)); break;
-          case Op::Slt:
-            setReg(inst.rd,
-                   static_cast<SWord>(rs) < static_cast<SWord>(rt));
-            break;
-          case Op::Sltu: setReg(inst.rd, rs < rt); break;
-          case Op::Mult: {
-            std::int64_t prod = static_cast<std::int64_t>(
-                static_cast<SWord>(rs)) * static_cast<SWord>(rt);
-            h_->lo_ = static_cast<Word>(prod);
-            h_->hi_ = static_cast<Word>(prod >> 32);
-            charge(opExecuteExtraCycles(inst.op, cost));
-            break;
-          }
-          case Op::Multu: {
-            std::uint64_t prod = static_cast<std::uint64_t>(rs) * rt;
-            h_->lo_ = static_cast<Word>(prod);
-            h_->hi_ = static_cast<Word>(prod >> 32);
-            charge(opExecuteExtraCycles(inst.op, cost));
-            break;
-          }
-          case Op::Div:
-            if (rt == 0) {
-                h_->lo_ = 0xffffffffu;
-                h_->hi_ = rs;
-            } else if (rs == 0x80000000u && rt == 0xffffffffu) {
-                h_->lo_ = 0x80000000u;
-                h_->hi_ = 0;
-            } else {
-                h_->lo_ = static_cast<Word>(static_cast<SWord>(rs) /
-                                        static_cast<SWord>(rt));
-                h_->hi_ = static_cast<Word>(static_cast<SWord>(rs) %
-                                        static_cast<SWord>(rt));
-            }
-            charge(opExecuteExtraCycles(inst.op, cost));
-            break;
-          case Op::Divu:
-            if (rt == 0) {
-                h_->lo_ = 0xffffffffu;
-                h_->hi_ = rs;
-            } else {
-                h_->lo_ = rs / rt;
-                h_->hi_ = rs % rt;
-            }
-            charge(opExecuteExtraCycles(inst.op, cost));
-            break;
-          case Op::Mfhi: setReg(inst.rd, h_->hi_); break;
-          case Op::Mthi: h_->hi_ = rs; break;
-          case Op::Mflo: setReg(inst.rd, h_->lo_); break;
-          case Op::Mtlo: h_->lo_ = rs; break;
-          case Op::Addiu: setReg(inst.rt, rs + inst.simm); break;
-          case Op::Slti:
-            setReg(inst.rt, static_cast<SWord>(rs) <
-                            static_cast<SWord>(inst.simm));
-            break;
-          case Op::Sltiu: setReg(inst.rt, rs < inst.simm); break;
-          case Op::Andi:  setReg(inst.rt, rs & inst.imm); break;
-          case Op::Ori:   setReg(inst.rt, rs | inst.imm); break;
-          case Op::Xori:  setReg(inst.rt, rs ^ inst.imm); break;
-          case Op::Lui:   setReg(inst.rt, inst.imm << 16); break;
-          case Op::J:
-            h_->stats_.branches++;
-            staged = ((pc + 4) & 0xf0000000u) | (inst.target << 2);
-            h_->branchTaken_ = true;
-            charge(opTakenControlExtraCycles(inst.op, cost));
-            break;
-          case Op::Jal:
-            setReg(RA, pc + 8);
-            h_->stats_.branches++;
-            staged = ((pc + 4) & 0xf0000000u) | (inst.target << 2);
-            h_->branchTaken_ = true;
-            charge(opTakenControlExtraCycles(inst.op, cost));
-            break;
-          case Op::Jr:
-            h_->stats_.branches++;
-            staged = rs;
-            h_->branchTaken_ = true;
-            charge(opTakenControlExtraCycles(inst.op, cost));
-            break;
-          case Op::Jalr:
-            setReg(inst.rd, pc + 8);
-            h_->stats_.branches++;
-            staged = rs;
-            h_->branchTaken_ = true;
-            charge(opTakenControlExtraCycles(inst.op, cost));
-            break;
-          case Op::Beq:
-            h_->stats_.branches++;
-            if (rs == rt) {
-                staged = pc + 4 + (inst.simm << 2);
-                h_->branchTaken_ = true;
-                charge(opTakenControlExtraCycles(inst.op, cost));
-            }
-            break;
-          case Op::Bne:
-            h_->stats_.branches++;
-            if (rs != rt) {
-                staged = pc + 4 + (inst.simm << 2);
-                h_->branchTaken_ = true;
-                charge(opTakenControlExtraCycles(inst.op, cost));
-            }
-            break;
-          case Op::Blez:
-            h_->stats_.branches++;
-            if (static_cast<SWord>(rs) <= 0) {
-                staged = pc + 4 + (inst.simm << 2);
-                h_->branchTaken_ = true;
-                charge(opTakenControlExtraCycles(inst.op, cost));
-            }
-            break;
-          case Op::Bgtz:
-            h_->stats_.branches++;
-            if (static_cast<SWord>(rs) > 0) {
-                staged = pc + 4 + (inst.simm << 2);
-                h_->branchTaken_ = true;
-                charge(opTakenControlExtraCycles(inst.op, cost));
-            }
-            break;
-          case Op::Bltz:
-            h_->stats_.branches++;
-            if (static_cast<SWord>(rs) < 0) {
-                staged = pc + 4 + (inst.simm << 2);
-                h_->branchTaken_ = true;
-                charge(opTakenControlExtraCycles(inst.op, cost));
-            }
-            break;
-          case Op::Bgez:
-            h_->stats_.branches++;
-            if (static_cast<SWord>(rs) >= 0) {
-                staged = pc + 4 + (inst.simm << 2);
-                h_->branchTaken_ = true;
-                charge(opTakenControlExtraCycles(inst.op, cost));
-            }
-            break;
-          case Op::Bltzal:
-            setReg(RA, pc + 8);
-            h_->stats_.branches++;
-            if (static_cast<SWord>(rs) < 0) {
-                staged = pc + 4 + (inst.simm << 2);
-                h_->branchTaken_ = true;
-                charge(opTakenControlExtraCycles(inst.op, cost));
-            }
-            break;
-          case Op::Bgezal:
-            setReg(RA, pc + 8);
-            h_->stats_.branches++;
-            if (static_cast<SWord>(rs) >= 0) {
-                staged = pc + 4 + (inst.simm << 2);
-                h_->branchTaken_ = true;
-                charge(opTakenControlExtraCycles(inst.op, cost));
-            }
-            break;
-          default:
-            goto general;
+        if (executeInline(inst, pc, staged)) {
+            // retire: never memory, an exception or a redirect, and
+            // the fetch cache stays valid
+            h_->consecutiveStores_ = 0;
+            if (observer_)
+                observer_->onInst(pc, inst,
+                                  h_->stats_.cycles - cycles_before);
+            h_->prevWasControl_ =
+                (inst.flags & DecodedInst::FlagControl) != 0;
+            pc = npc;
+            npc = staged;
+        } else {
+            h_->pc_ = pc;
+            h_->npc_ = npc;
+            h_->stagedNpc_ = staged;
+            h_->excRaised_ = false;
+            execute(inst);
+            if (!retire(inst, pc, cycles_before))
+                return;  // the latches hold the vector or redirect
+            pc = h_->pc_;
+            npc = h_->npc_;
+            if (h_->halted_)
+                break;
+            // the cached translation and decoded page can only go
+            // stale behind our back via a store (page write version)
+            // or a fence-class instruction (TLB/CP0 write, host call)
+            if ((inst.flags & DecodedInst::FlagFence) ||
+                ((inst.flags & DecodedInst::FlagStore) &&
+                 *h_->fetchMemVer_ != h_->fetchVersion_))
+                break;
         }
-        // tail for the inline subset: never memory, never an
-        // exception, never a redirect, never invalidates the
-        // fetch cache
-        h_->consecutiveStores_ = 0;
-        if (observer_)
-            observer_->onInst(pc, inst, h_->stats_.cycles - cycles_before);
-        h_->prevWasControl_ = (inst.flags & DecodedInst::FlagControl) != 0;
-        pc = npc;
-        npc = staged;
         if (done >= limit)
             break;
         // one compare covers "still in the cached page" and "still
         // word-aligned" (h_->fetchVbase_ has zero low bits)
         if ((pc ^ h_->fetchVbase_) & 0xfffff003u)
             break;
-        continue;
-
-      general:
-        // everything else goes through the reference execute() on
-        // synced member state, replaying step()'s tail exactly
-        h_->pc_ = pc;
-        h_->npc_ = npc;
-        h_->stagedNpc_ = staged;
-        h_->excRaised_ = false;
-        h_->branchTaken_ = false;
-        execute(inst);
-        if (h_->excRaised_) {
-            // takeException already redirected h_->pc_/h_->npc_
-            sync = false;
-            break;
-        }
-        if (!(inst.flags & DecodedInst::FlagMemory))
-            h_->consecutiveStores_ = 0;
-        if (observer_)
-            observer_->onInst(pc, inst, h_->stats_.cycles - cycles_before);
-        if (h_->redirect_) {
-            h_->redirect_ = false;
-            sync = false;
-            break;
-        }
-        h_->prevWasControl_ = (inst.flags & DecodedInst::FlagControl) != 0;
-        h_->pc_ = h_->npc_;
-        h_->npc_ = h_->stagedNpc_;
-        pc = h_->pc_;
-        npc = h_->npc_;
-        if (h_->halted_ || done >= limit)
-            break;
-        if ((pc ^ h_->fetchVbase_) & 0xfffff003u)
-            break;
-        // the cached translation and decoded page can only go
-        // stale behind our back via a store (page write version)
-        // or a fence-class instruction (TLB/CP0 write, host call);
-        // anything else leaves them valid by construction
-        if (inst.flags &
-            (DecodedInst::FlagStore | DecodedInst::FlagFence)) {
-            if (inst.flags & DecodedInst::FlagFence)
-                break;
-            if (*h_->fetchMemVer_ != h_->fetchVersion_)
-                break;
-        }
     }
-    if (sync) {
-        h_->pc_ = pc;
-        h_->npc_ = npc;
-    }
+    h_->pc_ = pc;
+    h_->npc_ = npc;
 }
 
 /**
@@ -843,30 +781,17 @@ Cpu::run(InstCount max_insts)
     return result;
 }
 
+/**
+ * Execute every op executeInline() declines, on the member latches:
+ * those that can trap, touch memory or reach CP0, the TLB or the host.
+ */
 void
 Cpu::execute(const DecodedInst &inst)
 {
     const Word rs = h_->regs_[inst.rs];
     const Word rt = h_->regs_[inst.rt];
-    const CostModel &cost = config_.cost;
-    bool user = h_->cp0_.userMode();
 
     switch (inst.op) {
-      // -- shifts ------------------------------------------------------
-      case Op::Sll:  setReg(inst.rd, rt << inst.shamt); break;
-      case Op::Srl:  setReg(inst.rd, rt >> inst.shamt); break;
-      case Op::Sra:
-        setReg(inst.rd,
-               static_cast<Word>(static_cast<SWord>(rt) >> inst.shamt));
-        break;
-      case Op::Sllv: setReg(inst.rd, rt << (rs & 31)); break;
-      case Op::Srlv: setReg(inst.rd, rt >> (rs & 31)); break;
-      case Op::Srav:
-        setReg(inst.rd,
-               static_cast<Word>(static_cast<SWord>(rt) >> (rs & 31)));
-        break;
-
-      // -- arithmetic ---------------------------------------------------
       case Op::Add: {
         Word sum = rs + rt;
         // signed overflow: operands same sign, result different
@@ -877,7 +802,6 @@ Cpu::execute(const DecodedInst &inst)
         setReg(inst.rd, sum);
         break;
       }
-      case Op::Addu: setReg(inst.rd, rs + rt); break;
       case Op::Sub: {
         Word diff = rs - rt;
         if ((rs ^ rt) & (rs ^ diff) & 0x80000000u) {
@@ -887,63 +811,6 @@ Cpu::execute(const DecodedInst &inst)
         setReg(inst.rd, diff);
         break;
       }
-      case Op::Subu: setReg(inst.rd, rs - rt); break;
-      case Op::And:  setReg(inst.rd, rs & rt); break;
-      case Op::Or:   setReg(inst.rd, rs | rt); break;
-      case Op::Xor:  setReg(inst.rd, rs ^ rt); break;
-      case Op::Nor:  setReg(inst.rd, ~(rs | rt)); break;
-      case Op::Slt:
-        setReg(inst.rd, static_cast<SWord>(rs) < static_cast<SWord>(rt));
-        break;
-      case Op::Sltu: setReg(inst.rd, rs < rt); break;
-
-      case Op::Mult: {
-        std::int64_t prod = static_cast<std::int64_t>(
-            static_cast<SWord>(rs)) * static_cast<SWord>(rt);
-        h_->lo_ = static_cast<Word>(prod);
-        h_->hi_ = static_cast<Word>(prod >> 32);
-        charge(opExecuteExtraCycles(inst.op, cost));
-        break;
-      }
-      case Op::Multu: {
-        std::uint64_t prod = static_cast<std::uint64_t>(rs) * rt;
-        h_->lo_ = static_cast<Word>(prod);
-        h_->hi_ = static_cast<Word>(prod >> 32);
-        charge(opExecuteExtraCycles(inst.op, cost));
-        break;
-      }
-      case Op::Div:
-        if (rt == 0) {
-            // architecturally UNPREDICTABLE; we define a stable result
-            h_->lo_ = 0xffffffffu;
-            h_->hi_ = rs;
-        } else if (rs == 0x80000000u && rt == 0xffffffffu) {
-            h_->lo_ = 0x80000000u;  // INT_MIN / -1 wraps
-            h_->hi_ = 0;
-        } else {
-            h_->lo_ = static_cast<Word>(static_cast<SWord>(rs) /
-                                    static_cast<SWord>(rt));
-            h_->hi_ = static_cast<Word>(static_cast<SWord>(rs) %
-                                    static_cast<SWord>(rt));
-        }
-        charge(opExecuteExtraCycles(inst.op, cost));
-        break;
-      case Op::Divu:
-        if (rt == 0) {
-            h_->lo_ = 0xffffffffu;
-            h_->hi_ = rs;
-        } else {
-            h_->lo_ = rs / rt;
-            h_->hi_ = rs % rt;
-        }
-        charge(opExecuteExtraCycles(inst.op, cost));
-        break;
-      case Op::Mfhi: setReg(inst.rd, h_->hi_); break;
-      case Op::Mthi: h_->hi_ = rs; break;
-      case Op::Mflo: setReg(inst.rd, h_->lo_); break;
-      case Op::Mtlo: h_->lo_ = rs; break;
-
-      // -- immediate arithmetic -------------------------------------------
       case Op::Addi: {
         Word sum = rs + inst.simm;
         if (~(rs ^ inst.simm) & (rs ^ sum) & 0x80000000u) {
@@ -953,58 +820,6 @@ Cpu::execute(const DecodedInst &inst)
         setReg(inst.rt, sum);
         break;
       }
-      case Op::Addiu: setReg(inst.rt, rs + inst.simm); break;
-      case Op::Slti:
-        setReg(inst.rt, static_cast<SWord>(rs) <
-                        static_cast<SWord>(inst.simm));
-        break;
-      case Op::Sltiu: setReg(inst.rt, rs < inst.simm); break;
-      case Op::Andi:  setReg(inst.rt, rs & inst.imm); break;
-      case Op::Ori:   setReg(inst.rt, rs | inst.imm); break;
-      case Op::Xori:  setReg(inst.rt, rs ^ inst.imm); break;
-      case Op::Lui:   setReg(inst.rt, inst.imm << 16); break;
-
-      // -- control ----------------------------------------------------------
-      case Op::J:
-        doJump(inst.op, ((h_->pc_ + 4) & 0xf0000000u) | (inst.target << 2));
-        break;
-      case Op::Jal:
-        setReg(RA, h_->pc_ + 8);
-        doJump(inst.op, ((h_->pc_ + 4) & 0xf0000000u) | (inst.target << 2));
-        break;
-      case Op::Jr:
-        doJump(inst.op, rs);
-        break;
-      case Op::Jalr:
-        setReg(inst.rd, h_->pc_ + 8);
-        doJump(inst.op, rs);
-        break;
-      case Op::Beq:
-        doBranch(inst.op, rs == rt, h_->pc_ + 4 + (inst.simm << 2));
-        break;
-      case Op::Bne:
-        doBranch(inst.op, rs != rt, h_->pc_ + 4 + (inst.simm << 2));
-        break;
-      case Op::Blez:
-        doBranch(inst.op, static_cast<SWord>(rs) <= 0, h_->pc_ + 4 + (inst.simm << 2));
-        break;
-      case Op::Bgtz:
-        doBranch(inst.op, static_cast<SWord>(rs) > 0, h_->pc_ + 4 + (inst.simm << 2));
-        break;
-      case Op::Bltz:
-        doBranch(inst.op, static_cast<SWord>(rs) < 0, h_->pc_ + 4 + (inst.simm << 2));
-        break;
-      case Op::Bgez:
-        doBranch(inst.op, static_cast<SWord>(rs) >= 0, h_->pc_ + 4 + (inst.simm << 2));
-        break;
-      case Op::Bltzal:
-        setReg(RA, h_->pc_ + 8);
-        doBranch(inst.op, static_cast<SWord>(rs) < 0, h_->pc_ + 4 + (inst.simm << 2));
-        break;
-      case Op::Bgezal:
-        setReg(RA, h_->pc_ + 8);
-        doBranch(inst.op, static_cast<SWord>(rs) >= 0, h_->pc_ + 4 + (inst.simm << 2));
-        break;
 
       // -- memory --------------------------------------------------------------
       case Op::Lb: {
@@ -1080,7 +895,7 @@ Cpu::execute(const DecodedInst &inst)
       case Op::Tlbwr:
       case Op::Tlbp:
       case Op::Rfe:
-        if (user) {
+        if (h_->cp0_.userMode()) {
             takeException(ExcCode::CpU, 0, false, false);
             return;
         }
@@ -1171,7 +986,7 @@ Cpu::execute(const DecodedInst &inst)
             return;
         }
         const TlbEntry &e = h_->tlb_.entry(*hit);
-        if (user && !e.userModifiable()) {
+        if (h_->cp0_.userMode() && !e.userModifiable()) {
             takeException(ExcCode::Ri, 0, false, false);
             return;
         }
@@ -1212,6 +1027,11 @@ Cpu::execute(const DecodedInst &inst)
       case Op::Invalid:
         takeException(ExcCode::Ri, 0, false, false);
         return;
+
+      default:
+        // the ops executeInline() runs; its callers never pass them on
+        UEXC_PANIC("execute: op %u belongs to executeInline()",
+                   static_cast<unsigned>(inst.op));
     }
 }
 

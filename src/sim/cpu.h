@@ -238,7 +238,9 @@ class Cpu
     // execution helpers
     /** Execute one instruction (or take one exception). */
     void step();
+    bool executeInline(const DecodedInst &inst, Addr pc, Addr &staged);
     void execute(const DecodedInst &inst);
+    bool retire(const DecodedInst &inst, Addr pc, Cycles cycles_before);
     bool memAddress(const DecodedInst &inst, unsigned size,
                     AccessType type, Addr &paddr_out);
     // fast-interpreter helpers
@@ -262,9 +264,6 @@ class Cpu
                        bool refill);
     bool tryUserVector(ExcCode code, Addr epc, Addr bad_vaddr,
                        bool branch_delay);
-    void doBranch(Op op, bool taken, Addr target);
-    void doJump(Op op, Addr target);
-    void raiseOnPrivileged(const DecodedInst &inst);
 
     PhysMemory &mem_;
     CpuConfig config_;

@@ -60,9 +60,9 @@ Hart::snapshotSave(SnapshotWriter &w) const
     w.u32(lo_);
     // The only inter-instruction latches: whether the next instruction
     // sits in a delay slot, and the store-run length the cost model
-    // tracks. The other latches (excRaised_, stagedNpc_, branchTaken_,
-    // redirect_) are written and consumed within one step and are dead
-    // at the instruction boundaries where snapshots are taken.
+    // tracks. The other latches (excRaised_, stagedNpc_, redirect_)
+    // are written and consumed within one step and are dead at the
+    // instruction boundaries where snapshots are taken.
     w.boolean(prevWasControl_);
     w.u32(consecutiveStores_);
     w.boolean(halted_);
@@ -123,7 +123,6 @@ Hart::snapshotLoad(SnapshotReader &r)
     halted_ = r.boolean();
     excRaised_ = false;
     stagedNpc_ = 0;
-    branchTaken_ = false;
     redirect_ = false;
 
     breakpoints_.clear();
@@ -219,7 +218,6 @@ Hart::restoreRound(const RoundContext &ctx)
     // the quantum boundaries where rounds begin and end.
     excRaised_ = false;
     stagedNpc_ = 0;
-    branchTaken_ = false;
     redirect_ = false;
     stats_ = ctx.stats;
     cp0_ = ctx.cp0;

@@ -308,7 +308,6 @@ class Hart
     bool excRaised_ = false;
     /** Next-NPC staged by the current instruction. */
     Addr stagedNpc_ = 0;
-    bool branchTaken_ = false;
     /** xret (or an hcall) moved the PC directly, bypassing npc. */
     bool redirect_ = false;
     unsigned consecutiveStores_ = 0;

@@ -36,23 +36,37 @@ struct FuzzGen
     std::mt19937 &rng;
     unsigned patches = 0;
     unsigned loops = 0;
+    unsigned hops = 0;
     std::vector<std::string> pendingPatches; // placed at next block start
 
     unsigned reg() { return kDataRegs[rng() % std::size(kDataRegs)]; }
 
-    /** Exception-free non-control filler, safe in a delay slot. */
+    /** Exception-free non-control filler, safe in a delay slot: every
+     *  shift, ALU and non-trapping immediate op. */
     void safeOp()
     {
         unsigned r = reg(), a = reg(), b = reg();
-        switch (rng() % 8) {
+        SWord simm = SWord(rng() % 4096) - 2048;
+        switch (rng() % 19) {
           case 0: as.addu(r, a, b); break;
           case 1: as.subu(r, a, b); break;
           case 2: as.xor_(r, a, b); break;
           case 3: as.and_(r, a, b); break;
           case 4: as.or_(r, a, b); break;
-          case 5: as.sll(r, a, rng() % 32); break;
-          case 6: as.addiu(r, a, SWord(rng() % 4096) - 2048); break;
-          default: as.sltu(r, a, b); break;
+          case 5: as.nor(r, a, b); break;
+          case 6: as.slt(r, a, b); break;
+          case 7: as.sltu(r, a, b); break;
+          case 8: as.sll(r, a, rng() % 32); break;
+          case 9: as.srl(r, a, rng() % 32); break;
+          case 10: as.sra(r, a, rng() % 32); break;
+          case 11: as.sllv(r, a, b); break;
+          case 12: as.srlv(r, a, b); break;
+          case 13: as.srav(r, a, b); break;
+          case 14: as.addiu(r, a, simm); break;
+          case 15: as.slti(r, a, simm); break;
+          case 16: as.sltiu(r, a, simm); break;
+          case 17: as.andi(r, a, rng() & 0xffff); break;
+          default: as.xori(r, a, rng() & 0xffff); break;
         }
     }
 
@@ -84,10 +98,15 @@ struct FuzzGen
         }
     }
 
+    /** Multiply, divide and hi/lo moves, including the divisions
+     *  with a defined result for an undefined quotient: by zero, and
+     *  INT_MIN / -1. */
     void multDiv()
     {
         unsigned a = reg(), b = reg();
-        switch (rng() % 8) {
+        while (b == a)
+            b = reg();
+        switch (rng() % 11) {
           case 0: as.mult(a, b); break;
           case 1: as.multu(a, b); break;
           case 2: as.div(a, b); break;
@@ -95,20 +114,60 @@ struct FuzzGen
           case 4: as.mfhi(reg()); break;
           case 5: as.mflo(reg()); break;
           case 6: as.mthi(a); break;
-          default: as.mtlo(a); break;
+          case 7: as.mtlo(a); break;
+          case 8: as.div(a, Zero); break;
+          case 9: as.divu(a, Zero); break;
+          default:
+            as.li32(a, 0x80000000u);
+            as.li32(b, 0xffffffffu);
+            as.div(a, b);
+            break;
         }
     }
 
     void branchTo(const std::string &target)
     {
         unsigned a = reg(), b = reg();
-        switch (rng() % 6) {
+        switch (rng() % 8) {
           case 0: as.beq(a, b, target); break;
           case 1: as.bne(a, b, target); break;
           case 2: as.blez(a, target); break;
           case 3: as.bgtz(a, target); break;
           case 4: as.bltz(a, target); break;
-          default: as.bgez(a, target); break;
+          case 5: as.bgez(a, target); break;
+          case 6: as.bltzal(a, target); break;
+          default: as.bgezal(a, target); break;
+        }
+        delaySlot();
+    }
+
+    /** An unconditional jump to @p target, direct or through a
+     *  register, linking or not. */
+    void jumpTo(const std::string &target)
+    {
+        unsigned t = reg(), link = reg();
+        while (link == t)
+            link = reg();
+        switch (rng() % 4) {
+          case 0: as.j(target); break;
+          case 1: as.jal(target); break;
+          case 2: {
+            // The static analyzer starts a computed jump's target with
+            // every register unknown, so the target re-materializes
+            // the buffer base: the corpus's data addresses stay
+            // statically computable (test_parallel's may-set oracle).
+            std::string hop = "hop" + std::to_string(hops++);
+            as.la(t, hop);
+            as.jr(t);
+            delaySlot();
+            as.label(hop);
+            as.la(T9, "buf");
+            return;
+          }
+          default:
+            as.la(t, target);
+            as.jalr(link, t);
+            break;
         }
         delaySlot();
     }
@@ -212,12 +271,10 @@ struct FuzzGen
                 safeOp(); // keep every block non-empty
             }
         }
-        if (rng() % 3 == 0) {
-            as.j(next);
-            delaySlot();
-        } else {
+        if (rng() % 3 == 0)
+            jumpTo(next);
+        else
             branchTo(next);
-        }
     }
 };
 
@@ -226,7 +283,7 @@ buildFuzzProgram(unsigned seed)
 {
     std::mt19937 rng(seed);
     Assembler as(testutil::kTestOrigin);
-    FuzzGen gen{as, rng, 0, 0, {}};
+    FuzzGen gen{as, rng, 0, 0, 0, {}};
 
     as.la(T9, "buf");
     for (unsigned r : kDataRegs)

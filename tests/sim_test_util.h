@@ -55,6 +55,37 @@ struct BareMachine
     Machine machine;
 };
 
+/** The default machine, on the fast interpreter when @p fast. */
+inline MachineConfig
+interpreterConfig(bool fast)
+{
+    MachineConfig config;
+    config.cpu.fastInterpreter = fast;
+    return config;
+}
+
+/**
+ * A known-answer test run on both interpreters: the body is registered
+ * as Suite.Name on the reference interpreter and as SuiteFast.Name on
+ * the fast one, and reads its machine configuration from `config`.
+ * Both interpreters execute the same instruction semantics, so only
+ * known answers, not a comparison between the two, can catch a wrong
+ * result there.
+ */
+#define UEXC_TEST_BOTH_INTERPRETERS(Suite, Name)                          \
+    void Suite##_##Name##_Body(const ::uexc::sim::MachineConfig &config); \
+    TEST(Suite, Name)                                                     \
+    {                                                                     \
+        Suite##_##Name##_Body(                                            \
+            ::uexc::sim::testutil::interpreterConfig(false));             \
+    }                                                                     \
+    TEST(Suite##Fast, Name)                                               \
+    {                                                                     \
+        Suite##_##Name##_Body(                                            \
+            ::uexc::sim::testutil::interpreterConfig(true));              \
+    }                                                                     \
+    void Suite##_##Name##_Body(const ::uexc::sim::MachineConfig &config)
+
 /**
  * Establish a kuseg mapping: virtual page @p vaddr -> physical frame
  * @p paddr for @p asid, via a wired TLB entry.

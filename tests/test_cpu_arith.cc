@@ -1,7 +1,8 @@
 /**
  * @file
  * CPU tests: arithmetic, logical, shift, and multiply/divide
- * instruction semantics, executed as guest code in kseg0.
+ * instruction semantics, executed as guest code in kseg0 on both
+ * interpreters.
  */
 
 #include <gtest/gtest.h>
@@ -15,9 +16,10 @@ using testutil::BareMachine;
 
 /** Run a 3-register op with given inputs; return rd. */
 Word
-runRRR(Word (*encode)(unsigned, unsigned, unsigned), Word a, Word b)
+runRRR(const MachineConfig &config,
+       Word (*encode)(unsigned, unsigned, unsigned), Word a, Word b)
 {
-    BareMachine m;
+    BareMachine m(config);
     m.loadAsm([&](Assembler &as) {
         as.li32(T0, a);
         as.li32(T1, b);
@@ -28,32 +30,33 @@ runRRR(Word (*encode)(unsigned, unsigned, unsigned), Word a, Word b)
     return m.cpu().reg(V0);
 }
 
-TEST(CpuArith, AdduSubu)
+UEXC_TEST_BOTH_INTERPRETERS(CpuArith, AdduSubu)
 {
-    EXPECT_EQ(runRRR(enc::addu, 2, 3), 5u);
-    EXPECT_EQ(runRRR(enc::addu, 0xffffffffu, 1), 0u);  // wraps silently
-    EXPECT_EQ(runRRR(enc::subu, 5, 7), 0xfffffffeu);
+    EXPECT_EQ(runRRR(config, enc::addu, 2, 3), 5u);
+    EXPECT_EQ(runRRR(config, enc::addu, 0xffffffffu, 1), 0u); // wraps
+    EXPECT_EQ(runRRR(config, enc::subu, 5, 7), 0xfffffffeu);
 }
 
-TEST(CpuArith, Logical)
+UEXC_TEST_BOTH_INTERPRETERS(CpuArith, Logical)
 {
-    EXPECT_EQ(runRRR(enc::and_, 0xff00ff00u, 0x0ff00ff0u), 0x0f000f00u);
-    EXPECT_EQ(runRRR(enc::or_, 0xff00ff00u, 0x0ff00ff0u), 0xfff0fff0u);
-    EXPECT_EQ(runRRR(enc::xor_, 0xff00ff00u, 0x0ff00ff0u), 0xf0f0f0f0u);
-    EXPECT_EQ(runRRR(enc::nor, 0xff00ff00u, 0x0ff00ff0u), 0x000f000fu);
+    const Word a = 0xff00ff00u, b = 0x0ff00ff0u;
+    EXPECT_EQ(runRRR(config, enc::and_, a, b), 0x0f000f00u);
+    EXPECT_EQ(runRRR(config, enc::or_, a, b), 0xfff0fff0u);
+    EXPECT_EQ(runRRR(config, enc::xor_, a, b), 0xf0f0f0f0u);
+    EXPECT_EQ(runRRR(config, enc::nor, a, b), 0x000f000fu);
 }
 
-TEST(CpuArith, SetLessThan)
+UEXC_TEST_BOTH_INTERPRETERS(CpuArith, SetLessThan)
 {
-    EXPECT_EQ(runRRR(enc::slt, 0xffffffffu, 0), 1u);   // -1 < 0 signed
-    EXPECT_EQ(runRRR(enc::sltu, 0xffffffffu, 0), 0u);  // max > 0 unsigned
-    EXPECT_EQ(runRRR(enc::slt, 3, 3), 0u);
-    EXPECT_EQ(runRRR(enc::sltu, 2, 3), 1u);
+    EXPECT_EQ(runRRR(config, enc::slt, 0xffffffffu, 0), 1u);  // -1 < 0
+    EXPECT_EQ(runRRR(config, enc::sltu, 0xffffffffu, 0), 0u); // max > 0
+    EXPECT_EQ(runRRR(config, enc::slt, 3, 3), 0u);
+    EXPECT_EQ(runRRR(config, enc::sltu, 2, 3), 1u);
 }
 
-TEST(CpuArith, ImmediateForms)
+UEXC_TEST_BOTH_INTERPRETERS(CpuArith, ImmediateForms)
 {
-    BareMachine m;
+    BareMachine m(config);
     m.loadAsm([&](Assembler &as) {
         as.li(T0, 10);
         as.addiu(V0, T0, -3);
@@ -73,9 +76,9 @@ TEST(CpuArith, ImmediateForms)
     EXPECT_EQ(m.cpu().reg(A3), 0u);
 }
 
-TEST(CpuArith, Lui)
+UEXC_TEST_BOTH_INTERPRETERS(CpuArith, Lui)
 {
-    BareMachine m;
+    BareMachine m(config);
     m.loadAsm([&](Assembler &as) {
         as.lui(V0, 0x1234);
         as.hcall(0);
@@ -84,9 +87,9 @@ TEST(CpuArith, Lui)
     EXPECT_EQ(m.cpu().reg(V0), 0x12340000u);
 }
 
-TEST(CpuArith, Shifts)
+UEXC_TEST_BOTH_INTERPRETERS(CpuArith, Shifts)
 {
-    BareMachine m;
+    BareMachine m(config);
     m.loadAsm([&](Assembler &as) {
         as.li32(T0, 0x80000001u);
         as.sll(V0, T0, 1);
@@ -107,9 +110,9 @@ TEST(CpuArith, Shifts)
     EXPECT_EQ(m.cpu().reg(A3), 0xf8000000u);
 }
 
-TEST(CpuArith, ShiftAmountFromRegisterIsMasked)
+UEXC_TEST_BOTH_INTERPRETERS(CpuArith, ShiftAmountFromRegisterIsMasked)
 {
-    BareMachine m;
+    BareMachine m(config);
     m.loadAsm([&](Assembler &as) {
         as.li(T0, 1);
         as.li(T1, 33);  // 33 & 31 == 1
@@ -120,9 +123,9 @@ TEST(CpuArith, ShiftAmountFromRegisterIsMasked)
     EXPECT_EQ(m.cpu().reg(V0), 2u);
 }
 
-TEST(CpuArith, MultiplySignedUnsigned)
+UEXC_TEST_BOTH_INTERPRETERS(CpuArith, MultiplySignedUnsigned)
 {
-    BareMachine m;
+    BareMachine m(config);
     m.loadAsm([&](Assembler &as) {
         as.li32(T0, 0xffffffffu);  // -1
         as.li(T1, 2);
@@ -143,9 +146,9 @@ TEST(CpuArith, MultiplySignedUnsigned)
     EXPECT_EQ(m.cpu().reg(A1), 0xfffffffeu);
 }
 
-TEST(CpuArith, DivideSignedUnsigned)
+UEXC_TEST_BOTH_INTERPRETERS(CpuArith, DivideSignedUnsigned)
 {
-    BareMachine m;
+    BareMachine m(config);
     m.loadAsm([&](Assembler &as) {
         as.li(T0, -7);
         as.li(T1, 2);
@@ -166,9 +169,9 @@ TEST(CpuArith, DivideSignedUnsigned)
     EXPECT_EQ(m.cpu().reg(A1), 1u);
 }
 
-TEST(CpuArith, DivideByZeroHasDefinedResult)
+UEXC_TEST_BOTH_INTERPRETERS(CpuArith, DivideByZeroHasDefinedResult)
 {
-    BareMachine m;
+    BareMachine m(config);
     m.loadAsm([&](Assembler &as) {
         as.li(T0, 42);
         as.li(T1, 0);
@@ -184,9 +187,9 @@ TEST(CpuArith, DivideByZeroHasDefinedResult)
     EXPECT_EQ(m.cpu().stats().exceptionsTaken, 0u);
 }
 
-TEST(CpuArith, MtHiLo)
+UEXC_TEST_BOTH_INTERPRETERS(CpuArith, MtHiLo)
 {
-    BareMachine m;
+    BareMachine m(config);
     m.loadAsm([&](Assembler &as) {
         as.li(T0, 11);
         as.li(T1, 22);
@@ -201,9 +204,9 @@ TEST(CpuArith, MtHiLo)
     EXPECT_EQ(m.cpu().reg(V1), 22u);
 }
 
-TEST(CpuArith, RegisterZeroIsHardwiredZero)
+UEXC_TEST_BOTH_INTERPRETERS(CpuArith, RegisterZeroIsHardwiredZero)
 {
-    BareMachine m;
+    BareMachine m(config);
     m.loadAsm([&](Assembler &as) {
         as.li(T0, 99);
         as.addu(Zero, T0, T0);  // writes to $zero are discarded
@@ -215,9 +218,9 @@ TEST(CpuArith, RegisterZeroIsHardwiredZero)
     EXPECT_EQ(m.cpu().reg(Zero), 0u);
 }
 
-TEST(CpuArith, MultDivCostsAreCharged)
+UEXC_TEST_BOTH_INTERPRETERS(CpuArith, MultDivCostsAreCharged)
 {
-    BareMachine a_mult, a_add;
+    BareMachine a_mult(config), a_add(config);
     a_mult.loadAsm([&](Assembler &as) {
         as.mult(T0, T1);
         as.hcall(0);
@@ -233,9 +236,9 @@ TEST(CpuArith, MultDivCostsAreCharged)
               cost.multCost - cost.baseCost);
 }
 
-TEST(CpuArith, CyclesAndInstructionsAdvance)
+UEXC_TEST_BOTH_INTERPRETERS(CpuArith, CyclesAndInstructionsAdvance)
 {
-    BareMachine m;
+    BareMachine m(config);
     m.loadAsm([&](Assembler &as) {
         for (int i = 0; i < 10; i++)
             as.nop();

@@ -1,6 +1,7 @@
 /**
  * @file
- * CPU tests: branches, jumps, and branch-delay-slot semantics.
+ * CPU tests: branches, jumps, and branch-delay-slot semantics, on
+ * both interpreters.
  */
 
 #include <gtest/gtest.h>
@@ -12,9 +13,9 @@ namespace {
 
 using testutil::BareMachine;
 
-TEST(CpuControl, TakenBranchExecutesDelaySlot)
+UEXC_TEST_BOTH_INTERPRETERS(CpuControl, TakenBranchExecutesDelaySlot)
 {
-    BareMachine m;
+    BareMachine m(config);
     m.loadAsm([&](Assembler &as) {
         as.li(V0, 0);
         as.beq(Zero, Zero, "target");
@@ -28,9 +29,10 @@ TEST(CpuControl, TakenBranchExecutesDelaySlot)
     EXPECT_EQ(m.cpu().reg(V0), 11u);
 }
 
-TEST(CpuControl, NotTakenBranchExecutesDelaySlotAndFallsThrough)
+UEXC_TEST_BOTH_INTERPRETERS(CpuControl,
+                            NotTakenBranchExecutesDelaySlotAndFallsThrough)
 {
-    BareMachine m;
+    BareMachine m(config);
     m.loadAsm([&](Assembler &as) {
         as.li(V0, 0);
         as.li(T0, 1);
@@ -45,9 +47,9 @@ TEST(CpuControl, NotTakenBranchExecutesDelaySlotAndFallsThrough)
     EXPECT_EQ(m.cpu().reg(V0), 111u);
 }
 
-TEST(CpuControl, BackwardLoop)
+UEXC_TEST_BOTH_INTERPRETERS(CpuControl, BackwardLoop)
 {
-    BareMachine m;
+    BareMachine m(config);
     m.loadAsm([&](Assembler &as) {
         as.li(T0, 5);
         as.li(V0, 0);
@@ -62,9 +64,9 @@ TEST(CpuControl, BackwardLoop)
     EXPECT_EQ(m.cpu().reg(V0), 10u);
 }
 
-TEST(CpuControl, ConditionalVariants)
+UEXC_TEST_BOTH_INTERPRETERS(CpuControl, ConditionalVariants)
 {
-    BareMachine m;
+    BareMachine m(config);
     m.loadAsm([&](Assembler &as) {
         as.li(V0, 0);
         as.li(T0, -1);
@@ -94,9 +96,9 @@ TEST(CpuControl, ConditionalVariants)
     EXPECT_EQ(m.cpu().reg(V0), 10u);
 }
 
-TEST(CpuControl, JalSetsRaPastDelaySlot)
+UEXC_TEST_BOTH_INTERPRETERS(CpuControl, JalSetsRaPastDelaySlot)
 {
-    BareMachine m;
+    BareMachine m(config);
     Program p = m.loadAsm([&](Assembler &as) {
         as.label("start");
         as.jal("func");
@@ -113,9 +115,9 @@ TEST(CpuControl, JalSetsRaPastDelaySlot)
     EXPECT_EQ(m.cpu().reg(RA), p.symbol("after"));
 }
 
-TEST(CpuControl, JalrLinksThroughChosenRegister)
+UEXC_TEST_BOTH_INTERPRETERS(CpuControl, JalrLinksThroughChosenRegister)
 {
-    BareMachine m;
+    BareMachine m(config);
     m.loadAsm([&](Assembler &as) {
         as.la(T9, "func");
         as.jalr(T8, T9);
@@ -130,9 +132,9 @@ TEST(CpuControl, JalrLinksThroughChosenRegister)
     EXPECT_EQ(m.cpu().reg(V0), 7u);
 }
 
-TEST(CpuControl, BltzalBgezalLink)
+UEXC_TEST_BOTH_INTERPRETERS(CpuControl, BltzalBgezalLink)
 {
-    BareMachine m;
+    BareMachine m(config);
     Program p = m.loadAsm([&](Assembler &as) {
         as.li(T0, -5);
         as.bltzal(T0, "sub");
@@ -149,10 +151,10 @@ TEST(CpuControl, BltzalBgezalLink)
     EXPECT_EQ(m.cpu().reg(RA), p.symbol("ret_here"));
 }
 
-TEST(CpuControl, BranchInDelaySlotTargetAppliesAfterSlot)
+UEXC_TEST_BOTH_INTERPRETERS(CpuControl, BranchInDelaySlotTargetAppliesAfterSlot)
 {
     // j target; delay slot increments -- classic pattern
-    BareMachine m;
+    BareMachine m(config);
     m.loadAsm([&](Assembler &as) {
         as.li(V0, 0);
         as.j("out");
@@ -165,9 +167,9 @@ TEST(CpuControl, BranchInDelaySlotTargetAppliesAfterSlot)
     EXPECT_EQ(m.cpu().reg(V0), 1u);
 }
 
-TEST(CpuControl, BranchToPcPlus8BehavesLikeFallThrough)
+UEXC_TEST_BOTH_INTERPRETERS(CpuControl, BranchToPcPlus8BehavesLikeFallThrough)
 {
-    BareMachine m;
+    BareMachine m(config);
     m.loadAsm([&](Assembler &as) {
         as.li(V0, 0);
         as.beq(Zero, Zero, "next");  // target is pc+8
@@ -180,9 +182,9 @@ TEST(CpuControl, BranchToPcPlus8BehavesLikeFallThrough)
     EXPECT_EQ(m.cpu().reg(V0), 3u);
 }
 
-TEST(CpuControl, BranchStatsCounted)
+UEXC_TEST_BOTH_INTERPRETERS(CpuControl, BranchStatsCounted)
 {
-    BareMachine m;
+    BareMachine m(config);
     m.loadAsm([&](Assembler &as) {
         as.li(T0, 3);
         as.label("loop");
@@ -195,9 +197,9 @@ TEST(CpuControl, BranchStatsCounted)
     EXPECT_EQ(m.cpu().stats().branches, 3u);
 }
 
-TEST(CpuControl, RunStopsAtBreakpoint)
+UEXC_TEST_BOTH_INTERPRETERS(CpuControl, RunStopsAtBreakpoint)
 {
-    BareMachine m;
+    BareMachine m(config);
     Program p = m.loadAsm([&](Assembler &as) {
         as.li(V0, 1);
         as.label("bp");
@@ -215,9 +217,9 @@ TEST(CpuControl, RunStopsAtBreakpoint)
     EXPECT_EQ(m.cpu().reg(V0), 2u);
 }
 
-TEST(CpuControl, RunHonorsInstLimit)
+UEXC_TEST_BOTH_INTERPRETERS(CpuControl, RunHonorsInstLimit)
 {
-    BareMachine m;
+    BareMachine m(config);
     m.loadAsm([&](Assembler &as) {
         as.label("spin");
         as.j("spin");

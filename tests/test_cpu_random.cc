@@ -1,10 +1,12 @@
 /**
  * @file
- * Randomized differential tests: the simulated CPU's arithmetic,
- * logical, shift, multiply/divide and comparison results are checked
- * against host-computed reference semantics over hundreds of random
- * operand pairs, and random straight-line programs must retire
- * exactly as many instructions as they contain.
+ * Randomized tests: the simulated CPU's arithmetic, logical, shift,
+ * multiply/divide and comparison results, register and immediate
+ * forms, are checked against host-computed semantics over hundreds of
+ * random operand pairs on both interpreters, and random straight-line
+ * programs must retire exactly as many instructions as they contain.
+ * Then the lockstep fuzz runs seeded random programs on both
+ * interpreters and compares them bit for bit.
  */
 
 #include <gtest/gtest.h>
@@ -20,13 +22,16 @@ namespace {
 using testutil::BareMachine;
 using namespace fuzzutil;
 
+/** A register-register op: V0 = op(T0 = a, T1 = b). */
 struct BinOp
 {
     const char *name;
-    Word (*encode)(unsigned, unsigned, unsigned);
+    Word (*encode)(unsigned, unsigned, unsigned); // (rd, T0, T1)
     Word (*eval)(Word, Word);
 };
 
+// The variable shifts encode as (rd, rt = value, rs = amount), so
+// T0 (= a) is shifted by T1 (= b) like the others' (rd, rs, rt).
 const BinOp kBinOps[] = {
     {"addu", enc::addu, [](Word a, Word b) { return a + b; }},
     {"subu", enc::subu, [](Word a, Word b) { return a - b; }},
@@ -49,53 +54,125 @@ const BinOp kBinOps[] = {
      }},
 };
 
-class RandomAlu : public ::testing::TestWithParam<unsigned> {};
+/** A register-immediate op: V0 = op(T0 = a, imm = b & immMask). */
+struct ImmOp
+{
+    const char *name;
+    Word (*encode)(unsigned, unsigned, Word); // (rt or rd, T0, imm)
+    Word immMask;
+    Word (*eval)(Word, Word);
+};
+
+/** The 16-bit immediate @p b sign-extended, as slti/sltiu see it. */
+SWord
+simm(Word b)
+{
+    return static_cast<std::int16_t>(b);
+}
+
+const ImmOp kImmOps[] = {
+    {"slti",
+     [](unsigned d, unsigned s, Word b) { return enc::slti(d, s, simm(b)); },
+     0xffff,
+     [](Word a, Word b) { return Word(static_cast<SWord>(a) < simm(b)); }},
+    {"sltiu",
+     [](unsigned d, unsigned s, Word b) {
+         return enc::sltiu(d, s, simm(b));
+     },
+     0xffff,
+     [](Word a, Word b) { return Word(a < static_cast<Word>(simm(b))); }},
+    {"andi", enc::andi, 0xffff, [](Word a, Word b) { return a & b; }},
+    {"xori", enc::xori, 0xffff, [](Word a, Word b) { return a ^ b; }},
+    {"sll", enc::sll, 31, [](Word a, Word b) { return a << b; }},
+    {"srl", enc::srl, 31, [](Word a, Word b) { return a >> b; }},
+    {"sra", enc::sra, 31,
+     [](Word a, Word b) {
+         return static_cast<Word>(static_cast<SWord>(a) >> b);
+     }},
+};
+
+/** A seed, and which interpreter runs the generated programs. */
+struct AluParam
+{
+    unsigned seed;
+    bool fast;
+};
+
+/** Print only the seed: the instantiation name tells the interpreter. */
+void
+PrintTo(const AluParam &p, std::ostream *os)
+{
+    *os << p.seed;
+}
+
+std::vector<AluParam>
+aluSeeds(bool fast)
+{
+    std::vector<AluParam> params;
+    for (unsigned seed : {1u, 2u, 3u, 5u, 8u, 13u, 21u, 34u})
+        params.push_back({seed, fast});
+    return params;
+}
+
+class RandomAlu : public ::testing::TestWithParam<AluParam>
+{
+  protected:
+    /** A fresh machine on the parameter's interpreter, with just
+     *  enough memory for the test programs. */
+    BareMachine machine()
+    {
+        MachineConfig config = testutil::interpreterConfig(GetParam().fast);
+        config.memBytes = 1 << 18;
+        return BareMachine(config);
+    }
+};
 
 TEST_P(RandomAlu, MatchesHostSemantics)
 {
-    std::mt19937 rng(GetParam());
-    for (int trial = 0; trial < 40; trial++) {
+    std::mt19937 rng(GetParam().seed);
+    constexpr unsigned kNumOps = std::size(kBinOps) + std::size(kImmOps);
+    for (int trial = 0; trial < 60; trial++) {
         Word a = rng();
         Word b = rng();
-        const BinOp &op = kBinOps[rng() % std::size(kBinOps)];
+        unsigned pick = rng() % kNumOps;
 
-        BareMachine m;
-        m.loadAsm([&](Assembler &as) {
-            as.li32(T0, a);
-            as.li32(T1, b);
-            // note: sllv/srlv/srav take (rd, rt=value, rs=amount);
-            // the encode helpers below expect (rd, rs, rt) for the
-            // arithmetic group, so dispatch accordingly
-            if (op.encode == enc::sllv || op.encode == enc::srlv ||
-                op.encode == enc::srav) {
-                as.emit(op.encode(V0, T0, T1));  // rd, rt, rs
-            } else {
-                as.emit(op.encode(V0, T0, T1));  // rd, rs, rt
-            }
-            as.hcall(0);
-        });
-        m.runToHalt();
+        const char *name;
         Word expected;
-        if (op.encode == enc::sllv || op.encode == enc::srlv ||
-            op.encode == enc::srav) {
-            // encoded as (rd=V0, rt=T0, rs=T1): value in T0 (= a),
-            // shift amount in T1 (= b)
+        BareMachine m = machine();
+        if (pick < std::size(kBinOps)) {
+            const BinOp &op = kBinOps[pick];
+            name = op.name;
             expected = op.eval(a, b);
+            m.loadAsm([&](Assembler &as) {
+                as.li32(T0, a);
+                as.li32(T1, b);
+                as.emit(op.encode(V0, T0, T1));
+                as.hcall(0);
+            });
         } else {
+            const ImmOp &op = kImmOps[pick - std::size(kBinOps)];
+            name = op.name;
+            b &= op.immMask;
             expected = op.eval(a, b);
+            m.loadAsm([&](Assembler &as) {
+                as.li32(T0, a);
+                as.emit(op.encode(V0, T0, b));
+                as.hcall(0);
+            });
         }
+        m.runToHalt();
         EXPECT_EQ(m.cpu().reg(V0), expected)
-            << op.name << "(" << a << ", " << b << ")";
+            << name << "(" << a << ", " << b << ")";
     }
 }
 
 TEST_P(RandomAlu, MultDivAgainstHost64Bit)
 {
-    std::mt19937 rng(GetParam() ^ 0x9e3779b9u);
+    std::mt19937 rng(GetParam().seed ^ 0x9e3779b9u);
     for (int trial = 0; trial < 20; trial++) {
         Word a = rng();
         Word b = rng() | 1;   // avoid divide-by-zero UNPREDICTABLE
-        BareMachine m;
+        BareMachine m = machine();
         m.loadAsm([&](Assembler &as) {
             as.li32(T0, a);
             as.li32(T1, b);
@@ -118,9 +195,9 @@ TEST_P(RandomAlu, MultDivAgainstHost64Bit)
 
 TEST_P(RandomAlu, StraightLineProgramsRetireExactly)
 {
-    std::mt19937 rng(GetParam() ^ 0x1234567u);
+    std::mt19937 rng(GetParam().seed ^ 0x1234567u);
     unsigned n = 20 + rng() % 100;
-    BareMachine m;
+    BareMachine m = machine();
     m.loadAsm([&](Assembler &as) {
         for (unsigned i = 0; i < n; i++) {
             switch (rng() % 4) {
@@ -139,13 +216,13 @@ TEST_P(RandomAlu, StraightLineProgramsRetireExactly)
 
 TEST_P(RandomAlu, MemoryPatternRoundTrip)
 {
-    std::mt19937 rng(GetParam() ^ 0xabcdefu);
+    std::mt19937 rng(GetParam().seed ^ 0xabcdefu);
     // write a random pattern through guest stores, read it back
     // through guest loads: verifies address computation end to end
     std::vector<Word> pattern(32);
     for (Word &w : pattern)
         w = rng();
-    BareMachine m;
+    BareMachine m = machine();
     m.loadAsm([&](Assembler &as) {
         as.la(T0, "buf");
         for (unsigned i = 0; i < pattern.size(); i++) {
@@ -170,8 +247,9 @@ TEST_P(RandomAlu, MemoryPatternRoundTrip)
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, RandomAlu,
-                         ::testing::Values(1u, 2u, 3u, 5u, 8u, 13u,
-                                           21u, 34u));
+                         ::testing::ValuesIn(aluSeeds(false)));
+INSTANTIATE_TEST_SUITE_P(FastSeeds, RandomAlu,
+                         ::testing::ValuesIn(aluSeeds(true)));
 
 // -- lockstep differential fuzz ----------------------------------------------
 //
@@ -239,6 +317,73 @@ TEST_P(LockstepFuzz, RandomProgramsAgreeAcrossInterpreters)
 
 INSTANTIATE_TEST_SUITE_P(Shards, LockstepFuzz,
                          ::testing::Range(0u, kFuzzShards));
+
+/** Records which ops a run retires, and the divisions whose quotient
+ *  the architecture leaves undefined. */
+class OpCoverage : public InstObserver
+{
+  public:
+    void onInst(Addr, const DecodedInst &inst, Cycles) override
+    {
+        retired[static_cast<unsigned>(inst.op)] = true;
+        // div/divu write only hi/lo: the operands are still there
+        Word rs = cpu->reg(inst.rs), rt = cpu->reg(inst.rt);
+        if (inst.op == Op::Div && rt == 0)
+            divByZero = true;
+        if (inst.op == Op::Divu && rt == 0)
+            divuByZero = true;
+        if (inst.op == Op::Div && rs == 0x80000000u && rt == 0xffffffffu)
+            divIntMinByMinusOne = true;
+    }
+    void onException(ExcCode, Addr, Addr) override {}
+
+    const Cpu *cpu = nullptr; ///< the observed CPU
+    bool retired[NumOps] = {};
+    bool divByZero = false;
+    bool divuByZero = false;
+    bool divIntMinByMinusOne = false;
+};
+
+// The lockstep fuzz can only catch a fast-path difference in an op
+// its corpus runs: every op the fast interpreter executes without
+// leaving its block loop must retire somewhere in the 1000 seeds.
+TEST(LockstepFuzzCorpus, RetiresEveryInlineOp)
+{
+    MachineConfig cfg;
+    cfg.memBytes = 1 << 18;
+    OpCoverage cov;
+    for (unsigned seed = 0; seed < kFuzzShards * kSeedsPerShard; seed++) {
+        testutil::BareMachine m(cfg);
+        installFuzzSkipHandlers(m.machine);
+        m.machine.load(buildFuzzProgram(seed));
+        m.cpu().setPc(testutil::kTestOrigin);
+        cov.cpu = &m.cpu();
+        m.cpu().setObserver(&cov);
+        m.cpu().run(kFuzzInstLimit);
+    }
+
+    static const std::pair<Op, const char *> kInlineOps[] = {
+        {Op::Sll, "sll"},     {Op::Srl, "srl"},       {Op::Sra, "sra"},
+        {Op::Sllv, "sllv"},   {Op::Srlv, "srlv"},     {Op::Srav, "srav"},
+        {Op::Addu, "addu"},   {Op::Subu, "subu"},     {Op::And, "and"},
+        {Op::Or, "or"},       {Op::Xor, "xor"},       {Op::Nor, "nor"},
+        {Op::Slt, "slt"},     {Op::Sltu, "sltu"},     {Op::Mult, "mult"},
+        {Op::Multu, "multu"}, {Op::Div, "div"},       {Op::Divu, "divu"},
+        {Op::Mfhi, "mfhi"},   {Op::Mthi, "mthi"},     {Op::Mflo, "mflo"},
+        {Op::Mtlo, "mtlo"},   {Op::Addiu, "addiu"},   {Op::Slti, "slti"},
+        {Op::Sltiu, "sltiu"}, {Op::Andi, "andi"},     {Op::Ori, "ori"},
+        {Op::Xori, "xori"},   {Op::Lui, "lui"},       {Op::J, "j"},
+        {Op::Jal, "jal"},     {Op::Jr, "jr"},         {Op::Jalr, "jalr"},
+        {Op::Beq, "beq"},     {Op::Bne, "bne"},       {Op::Blez, "blez"},
+        {Op::Bgtz, "bgtz"},   {Op::Bltz, "bltz"},     {Op::Bgez, "bgez"},
+        {Op::Bltzal, "bltzal"}, {Op::Bgezal, "bgezal"},
+    };
+    for (const auto &[op, name] : kInlineOps)
+        EXPECT_TRUE(cov.retired[static_cast<unsigned>(op)]) << name;
+    EXPECT_TRUE(cov.divByZero);
+    EXPECT_TRUE(cov.divuByZero);
+    EXPECT_TRUE(cov.divIntMinByMinusOne);
+}
 
 } // namespace
 } // namespace uexc::sim
