@@ -569,12 +569,33 @@ UserEnv::demote()
     stats_.deliveryDemoted++;
 }
 
-Word
-UserEnv::canaryWord(Word index)
+namespace {
+
+constexpr std::size_t kCanaryWords =
+    (os::kPageBytes - os::kUexcCanaryOffset) / 4;
+using CanaryImage = std::array<Word, kCanaryWords>;
+
+/**
+ * The canary as the host builds it once: a deterministic, index-
+ * dependent pattern (an all-zero page or a single repeated word would
+ * miss many corruption shapes), indexed by word within the page.
+ */
+constexpr CanaryImage kCanary = [] {
+    CanaryImage image{};
+    for (std::size_t i = 0; i < kCanaryWords; i++)
+        image[i] = 0xc0ffee00u ^
+                   ((Word(i) + os::kUexcCanaryOffset / 4) * 0x9e3779b9u);
+    return image;
+}();
+
+} // namespace
+
+/** Physical address of the canary in this process's pinned page. */
+Addr
+UserEnv::canaryPhys() const
 {
-    // Deterministic, index-dependent pattern (an all-zero page or a
-    // single repeated word would miss many corruption shapes).
-    return 0xc0ffee00u ^ (index * 0x9e3779b9u);
+    return Machine::unmappedToPhys(proc_->field(proc::UexcFrameK) +
+                                   os::kUexcCanaryOffset);
 }
 
 /**
@@ -587,32 +608,26 @@ UserEnv::canaryWord(Word index)
 void
 UserEnv::writeCanary()
 {
-    Machine &m = kernel_.machine();
-    Addr base = proc_->field(proc::UexcFrameK);
-    for (Word off = os::kUexcCanaryOffset; off < os::kPageBytes;
-         off += 4)
-        m.debugWriteWord(base + off, canaryWord(off / 4));
+    kernel_.machine().mem().writeBlock(canaryPhys(), kCanary.data(),
+                                       sizeof(kCanary));
 }
 
 bool
 UserEnv::checkCanary()
 {
-    Machine &m = kernel_.machine();
-    Addr base = proc_->field(proc::UexcFrameK);
-    for (Word off = os::kUexcCanaryOffset; off < os::kPageBytes;
-         off += 4) {
-        if (m.debugReadWord(base + off) == canaryWord(off / 4))
-            continue;
-        // Corruption of the pinned save page: the fast mechanism can
-        // no longer be trusted with this process. Demote to
-        // kernel-mediated delivery and repair the canary so the
-        // diagnosis fires once per corruption event.
-        stats_.savePageCorruptions++;
-        demote();
-        writeCanary();
-        return false;
-    }
-    return true;
+    CanaryImage now;
+    kernel_.machine().mem().readBlock(canaryPhys(), now.data(),
+                                      sizeof(now));
+    if (now == kCanary)
+        return true;
+    // Corruption of the pinned save page: the fast mechanism can no
+    // longer be trusted with this process. Demote to kernel-mediated
+    // delivery and repair the canary so the diagnosis fires once per
+    // corruption event.
+    stats_.savePageCorruptions++;
+    demote();
+    writeCanary();
+    return false;
 }
 
 Addr

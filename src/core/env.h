@@ -284,9 +284,9 @@ class UserEnv
     Addr frameKva() const;
     Addr sigctxKva() const;
     void demote();
+    Addr canaryPhys() const;
     void writeCanary();
     bool checkCanary();
-    static Word canaryWord(Word index);
 
     os::Kernel &kernel_;
     DeliveryMode mode_;

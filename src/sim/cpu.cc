@@ -388,11 +388,31 @@ Cpu::memAddress(const DecodedInst &inst, unsigned size, AccessType type,
 }
 
 /**
+ * The decoded instruction at @p pc in the cached fetch page @p page,
+ * filled at page version @p version, decoding its slot first if the
+ * slot was last decoded at another version. Every store bumps the
+ * page version before the fetch cache can see it, so a slot decoded
+ * here reads exactly the bytes a decode of the whole page at that
+ * version would have read.
+ */
+[[gnu::always_inline]] inline const DecodedInst &
+Cpu::fetchSlot(Hart::DecodedPage &page, std::uint32_t version, Addr pc)
+{
+    unsigned i = (pc & 0xfffu) >> 2;
+    if (page.slotVersions[i] != version) [[unlikely]] {
+        page.insts[i] = decode(mem_.readWord(h_->fetchPaBase_ + 4 * i));
+        page.slotVersions[i] = version;
+        h_->fastDecodes_++;
+    }
+    return page.insts[i];
+}
+
+/**
  * Install the fetch cache for the page a slow fetch just translated
- * to @p tr, (re)decoding the whole physical page if it has never been
- * seen or was written since. Returns null when the page does not lie
- * entirely inside physical memory (the reference path's word-at-a-
- * time bounds behaviour must be preserved for partial tail pages).
+ * to @p tr, recording the page's current write version, and return
+ * the PC's slot. Returns null when the page does not lie entirely
+ * inside physical memory (the reference path's word-at-a-time bounds
+ * behaviour must be preserved for partial tail pages).
  */
 const DecodedInst *
 Cpu::refillFetchFast(const TranslateResult &tr)
@@ -403,13 +423,9 @@ Cpu::refillFetchFast(const TranslateResult &tr)
     Word ppn = tr.paddr >> PhysMemory::PageShift;
     auto &slot = h_->decodedPages_[ppn];
     const std::uint32_t *ver = mem_.pageVersionPtr(tr.paddr);
-    std::uint32_t ver_now = *ver;
-    if (!slot || slot->version != ver_now) {
-        if (!slot)
-            slot = std::make_unique<Hart::DecodedPage>();
-        for (unsigned i = 0; i < Hart::DecodedPage::NumInsts; i++)
-            slot->insts[i] = decode(mem_.readWord(base + 4 * i));
-        slot->version = ver_now;
+    if (!slot) {
+        slot = std::make_unique<Hart::DecodedPage>();
+        slot->slotVersions.fill(*ver - 1);
     }
     h_->tlbGenSeen_ = h_->tlb_.generation();
     h_->fetchKey_ = translationKey(h_->pc_);
@@ -417,10 +433,10 @@ Cpu::refillFetchFast(const TranslateResult &tr)
     h_->fetchPaBase_ = base;
     h_->fetchVbase_ = h_->pc_ & 0xfffff000u;
     h_->fetchMemVer_ = ver;
-    h_->fetchVersion_ = slot->version;
+    h_->fetchVersion_ = *ver;
     h_->fetchMapped_ = h_->pc_ < Kseg0Base || h_->pc_ >= Kseg2Base;
     h_->fetchCacheable_ = tr.cacheable;
-    return &h_->fetchPage_->insts[(h_->pc_ & 0xfffu) >> 2];
+    return &fetchSlot(*slot, h_->fetchVersion_, h_->pc_);
 }
 
 /**
@@ -686,8 +702,12 @@ Cpu::runBlock(InstCount limit)
     // which reads and writes them.
     Addr pc = h_->pc_;
     Addr npc = h_->npc_;
+    // Only a refill moves the fetch page or its version, and the block
+    // ends before one can run.
+    Hart::DecodedPage &page = *h_->fetchPage_;
+    const std::uint32_t version = h_->fetchVersion_;
     while (true) {
-        const DecodedInst &inst = h_->fetchPage_->insts[(pc & 0xfffu) >> 2];
+        const DecodedInst &inst = fetchSlot(page, version, pc);
         h_->cp0_.tickRandom();
         Cycles cycles_before = h_->stats_.cycles;
         if (h_->fetchMapped_)
@@ -727,7 +747,7 @@ Cpu::runBlock(InstCount limit)
             // or a fence-class instruction (TLB/CP0 write, host call)
             if ((inst.flags & DecodedInst::FlagFence) ||
                 ((inst.flags & DecodedInst::FlagStore) &&
-                 *h_->fetchMemVer_ != h_->fetchVersion_))
+                 *h_->fetchMemVer_ != version))
                 break;
         }
         if (done >= limit)

@@ -251,6 +251,8 @@ class Cpu
     void microDtlbFill(Addr vaddr, AccessType type,
                        const TranslateResult &tr);
     const DecodedInst *refillFetchFast(const TranslateResult &tr);
+    const DecodedInst &fetchSlot(Hart::DecodedPage &page,
+                                 std::uint32_t version, Addr pc);
     // guest data access, routed through the store buffer when attached
     Word loadWord(Addr paddr);
     Half loadHalf(Addr paddr);

@@ -204,6 +204,13 @@ class Hart
     void flushMicroTlb();
     /** Drop every host-side interpreter cache for this hart. */
     void flushHostCaches();
+    /**
+     * Instructions the fast interpreter has decoded into its
+     * predecoded pages since construction. Host work, not machine
+     * state: never serialized, never cleared, and not rolled back
+     * with a round.
+     */
+    std::uint64_t fastDecodes() const { return fastDecodes_; }
 
     // -- snapshot -------------------------------------------------------
 
@@ -257,16 +264,21 @@ class Hart
     friend class Cpu;
 
     /**
-     * One physical page of predecoded instructions. Valid while
-     * @c version still equals the PhysMemory page version captured at
-     * decode time; any store into the page (guest or host side)
-     * advances that version and forces a whole-page redecode on the
-     * next fetch, which is what keeps self-modifying code correct.
+     * One physical page of predecoded instructions, decoded a slot at
+     * a time. A slot is valid while its @c slotVersions entry equals
+     * the PhysMemory page version the fetch cache was filled at
+     * (@c fetchVersion_), and is decoded on its first fetch otherwise.
+     * Any store into the page (guest or host side) advances the page
+     * version first, so the next refill records the new version and
+     * every slot fetched after it is decoded again from the new bytes,
+     * which is what keeps self-modifying code correct. A fresh page
+     * starts its slots one version behind; like PhysMemory's known-
+     * zero pages, this rests on the 32-bit version not wrapping.
      */
     struct DecodedPage
     {
         static constexpr unsigned NumInsts = PhysMemory::PageBytes / 4;
-        std::uint32_t version = 0;
+        std::array<std::uint32_t, NumInsts> slotVersions{};
         std::array<DecodedInst, NumInsts> insts;
     };
 
@@ -324,7 +336,7 @@ class Hart
     std::unordered_map<Word, std::unique_ptr<DecodedPage>> decodedPages_;
     /** One-entry fetch cache: the page the PC is streaming through. */
     Word fetchKey_ = kInvalidKey;
-    const DecodedPage *fetchPage_ = nullptr;
+    DecodedPage *fetchPage_ = nullptr;
     Addr fetchPaBase_ = 0;
     Addr fetchVbase_ = 0;
     const std::uint32_t *fetchMemVer_ = nullptr;
@@ -335,6 +347,7 @@ class Hart
     std::array<MicroTlbEntry, kMicroTlbSize> dtlb_;
     /** Tlb::generation the caches were filled under. */
     std::uint64_t tlbGenSeen_ = 0;
+    std::uint64_t fastDecodes_ = 0;
 };
 
 } // namespace uexc::sim

@@ -1,6 +1,9 @@
 #include "sim/memory.h"
 
+#include <sys/mman.h>
+
 #include <algorithm>
+#include <cerrno>
 #include <cstring>
 
 #include "common/bits.h"
@@ -8,22 +11,45 @@
 
 namespace uexc::sim {
 
-PhysMemory::PhysMemory(std::size_t size)
-    : data_(size, 0), pageVersions_((size + PageBytes - 1) / PageBytes, 0),
-      zeroVersions_(pageVersions_.size(), 0)
+namespace {
+
+std::size_t
+validSize(std::size_t size)
 {
     if (size == 0 || size % 4 != 0)
         UEXC_FATAL("physical memory size %zu is not a positive word "
                    "multiple", size);
+    return size;
+}
+
+} // namespace
+
+PhysMemory::PhysMemory(std::size_t size)
+    : size_(validSize(size)),
+      pageVersions_((size + PageBytes - 1) / PageBytes, 0),
+      zeroVersions_(pageVersions_.size(), 0)
+{
+    // last, so nothing after it can throw and leak the mapping
+    void *arena = mmap(nullptr, size, PROT_READ | PROT_WRITE,
+                       MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+    if (arena == MAP_FAILED)
+        UEXC_FATAL("cannot map %zu bytes of physical memory: %s", size,
+                   std::strerror(errno));
+    data_ = static_cast<Byte *>(arena);
+}
+
+PhysMemory::~PhysMemory()
+{
+    munmap(data_, size_);
 }
 
 void
 PhysMemory::check(Addr paddr, unsigned access_size) const
 {
-    if (paddr + access_size > data_.size() || paddr + access_size < paddr)
+    if (paddr + access_size > size_ || paddr + access_size < paddr)
         UEXC_PANIC("physical access at 0x%08x size %u out of range "
                    "(memory is %zu bytes)", paddr, access_size,
-                   data_.size());
+                   size_);
     if (!isAligned(paddr, access_size))
         UEXC_PANIC("unaligned physical access at 0x%08x size %u "
                    "(CPU must raise AdEL/AdES before memory access)",
@@ -82,7 +108,7 @@ PhysMemory::writeByte(Addr paddr, Byte value)
 void
 PhysMemory::writeBlock(Addr paddr, const void *src, std::size_t bytes)
 {
-    if (paddr + bytes > data_.size())
+    if (paddr + bytes > size_)
         UEXC_PANIC("block write at 0x%08x size %zu out of range",
                    paddr, bytes);
     std::memcpy(&data_[paddr], src, bytes);
@@ -92,7 +118,7 @@ PhysMemory::writeBlock(Addr paddr, const void *src, std::size_t bytes)
 void
 PhysMemory::readBlock(Addr paddr, void *dst, std::size_t bytes) const
 {
-    if (paddr + bytes > data_.size())
+    if (paddr + bytes > size_)
         UEXC_PANIC("block read at 0x%08x size %zu out of range",
                    paddr, bytes);
     std::memcpy(dst, &data_[paddr], bytes);
@@ -101,7 +127,7 @@ PhysMemory::readBlock(Addr paddr, void *dst, std::size_t bytes) const
 bool
 PhysMemory::blockIsZero(Addr paddr, std::size_t bytes) const
 {
-    if (paddr + bytes > data_.size())
+    if (paddr + bytes > size_)
         UEXC_PANIC("zero scan at 0x%08x size %zu out of range",
                    paddr, bytes);
     // in-place memcmp against a zeroed page, one page at a time, and
@@ -123,12 +149,12 @@ PhysMemory::blockIsZero(Addr paddr, std::size_t bytes) const
 void
 PhysMemory::clearRange(Addr paddr, std::size_t bytes)
 {
-    if (paddr + bytes > data_.size())
+    if (paddr + bytes > size_)
         UEXC_PANIC("clear at 0x%08x size %zu out of range", paddr, bytes);
     std::size_t at = paddr, end = std::size_t(paddr) + bytes;
     while (at < end) {
         std::size_t page_end =
-            std::min(data_.size(), (at | (PageBytes - 1)) + 1);
+            std::min(size_, (at | (PageBytes - 1)) + 1);
         std::size_t chunk = std::min(end, page_end) - at;
         std::size_t p = at >> PageShift;
         bool whole = chunk == page_end - (p << PageShift);

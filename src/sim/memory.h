@@ -1,6 +1,6 @@
 /**
  * @file
- * Physical memory of the simulated machine: a flat byte array with
+ * Physical memory of the simulated machine: a flat byte arena with
  * word/half/byte accessors. All addresses here are *physical*; the CPU
  * performs virtual-to-physical translation (segment decoding and TLB
  * lookup) before touching this object.
@@ -10,6 +10,7 @@
 #define UEXC_SIM_MEMORY_H
 
 #include <cstddef>
+#include <cstdint>
 #include <vector>
 
 #include "common/types.h"
@@ -20,6 +21,12 @@ namespace uexc::sim {
  * Flat physical memory. Accesses must be in range and naturally
  * aligned; violations are uexc bugs (the CPU checks alignment and
  * raises guest exceptions before calling in here).
+ *
+ * The bytes live in an anonymous private mapping of the memory's
+ * size, so the host kernel supplies zero pages as the guest first
+ * touches them: building a machine costs what it writes, not its
+ * memory size, and the resident set follows the pages used. The
+ * mapping is owned, so a memory cannot be copied.
  *
  * Concurrency: the memory is only ever written by one thread at a
  * time — barrier-round workers read a frozen image and buffer their
@@ -33,10 +40,18 @@ class PhysMemory
     static constexpr unsigned PageShift = 12;
     static constexpr std::size_t PageBytes = std::size_t(1) << PageShift;
 
-    /** Construct @p size bytes of zeroed memory (word multiple). */
+    /**
+     * Map @p size bytes of zeroed memory. A size that is zero or not
+     * a word multiple is fatal, and is rejected before anything is
+     * mapped.
+     */
     explicit PhysMemory(std::size_t size);
+    ~PhysMemory();
 
-    std::size_t size() const { return data_.size(); }
+    PhysMemory(const PhysMemory &) = delete;
+    PhysMemory &operator=(const PhysMemory &) = delete;
+
+    std::size_t size() const { return size_; }
 
     Word readWord(Addr paddr) const;
     Half readHalf(Addr paddr) const;
@@ -110,10 +125,11 @@ class PhysMemory
         }
     }
 
-    std::vector<Byte> data_;
+    std::size_t size_;
     std::vector<std::uint32_t> pageVersions_;
     /** Per page: the write version at which it was last known zero. */
     std::vector<std::uint32_t> zeroVersions_;
+    Byte *data_ = nullptr;
 };
 
 } // namespace uexc::sim

@@ -240,6 +240,121 @@ TEST(Differential, SelfModifyingCodeBackwardLoop)
     EXPECT_EQ(d.fst.cpu().reg(V0), 151u);
 }
 
+// -- lazy decode: a slot is decoded on its first fetch at each page
+// -- version, so every way of making a decoded slot stale must make the
+// -- fast interpreter decode it again before it runs it
+
+TEST(Differential, LazyDecodeStoreRewritesAStaleUnfetchedSlot)
+{
+    // "sub" is decoded by the first call. A store to a data word of
+    // the running page then moves the page version, and a second store
+    // rewrites sub's first slot while no fetch has touched it since:
+    // the second call must decode the slot again.
+    DiffPair d;
+    d.load([](Assembler &a) {
+        a.li32(T3, kTestOrigin);
+        a.li32(T0, enc::addiu(V0, V0, 50));
+        a.jal("sub");
+        a.nop();
+        a.swLo(T3, "data", T3);
+        a.swLo(T0, "sub", T3);
+        a.jal("sub");
+        a.nop();
+        a.hcall(0);
+        a.label("sub");
+        a.addiu(V0, V0, 1);
+        a.jr(RA);
+        a.nop();
+        a.label("data");
+        a.word(0);
+    });
+    d.run();
+    EXPECT_EQ(d.ref.cpu().reg(V0), 51u);
+    EXPECT_EQ(d.fst.cpu().reg(V0), 51u);
+}
+
+TEST(Differential, LazyDecodeStoreRewritesADecodedSlotAndBranchesBack)
+{
+    // Each iteration rewrites the slot it has just run, with a new
+    // immediate every time, and branches back to it: the slot is
+    // decoded, made stale and decoded again on every pass.
+    DiffPair d;
+    d.load([](Assembler &a) {
+        a.li32(T1, 4);
+        a.li32(T3, kTestOrigin);
+        a.li32(T0, enc::addiu(V0, V0, 50));
+        a.label("loop");
+        a.label("patch");
+        a.addiu(V0, V0, 1);
+        a.swLo(T0, "patch", T3);
+        a.addiu(T0, T0, 1);  // the next immediate
+        a.addiu(T1, T1, -1);
+        a.bne(T1, Zero, "loop");
+        a.nop();
+        a.hcall(0);
+    });
+    d.run();
+    EXPECT_EQ(d.ref.cpu().reg(V0), 1u + 50 + 51 + 52);
+    EXPECT_EQ(d.fst.cpu().reg(V0), 1u + 50 + 51 + 52);
+}
+
+TEST(Differential, LazyDecodeDebugWriteBetweenRuns)
+{
+    // The first run stops mid-loop with the loop body decoded; the
+    // host then rewrites a body slot through debugWriteWord.
+    auto body = [](Assembler &a) {
+        a.li32(T1, 100);
+        a.label("loop");
+        a.label("patch");
+        a.addiu(V0, V0, 1);
+        a.addiu(T1, T1, -1);
+        a.bne(T1, Zero, "loop");
+        a.nop();
+        a.hcall(0);
+    };
+    DiffPair d;
+    Program p = d.ref.loadAsm(body);
+    d.fst.loadAsm(body);
+    d.run(2 + 4 * 10);  // li32 and ten iterations
+    ASSERT_FALSE(d.fst.cpu().halted());
+    d.setup([&](Machine &m) {
+        m.debugWriteWord(p.symbol("patch"), enc::addiu(V0, V0, 7));
+    });
+    d.run();
+    EXPECT_EQ(d.ref.cpu().reg(V0), 10u + 7 * 90);
+    EXPECT_EQ(d.fst.cpu().reg(V0), 10u + 7 * 90);
+}
+
+TEST(Differential, LazyDecodeRestoreOverADirtyTwin)
+{
+    // Each machine checkpoints one program, then loads and runs
+    // another over the same page (its harts decode that one), and
+    // restores the checkpoint: the restored program must run.
+    auto body = [](SWord step) {
+        return [step](Assembler &a) {
+            a.li32(T1, 20);
+            a.label("loop");
+            a.addiu(V0, V0, step);
+            a.addiu(T1, T1, -1);
+            a.bne(T1, Zero, "loop");
+            a.nop();
+            a.hcall(0);
+        };
+    };
+    DiffPair d;
+    d.load(body(3));
+    std::vector<Byte> ref_image = d.ref.machine.checkpoint();
+    std::vector<Byte> fast_image = d.fst.machine.checkpoint();
+    d.load(body(5));
+    d.run();
+    EXPECT_EQ(d.fst.cpu().reg(V0), 100u);
+    d.ref.machine.restore(ref_image);
+    d.fst.machine.restore(fast_image);
+    d.run();
+    EXPECT_EQ(d.ref.cpu().reg(V0), 60u);
+    EXPECT_EQ(d.fst.cpu().reg(V0), 60u);
+}
+
 TEST(Differential, MidBlockException)
 {
     // A TLB refill fault from a kuseg load in the middle of a

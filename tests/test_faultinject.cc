@@ -203,6 +203,40 @@ TEST(FaultInject, SavePageCanaryCorruptionDemotes)
     EXPECT_EQ(rig.env().stats().savePageCorruptions, 1u);
 }
 
+/**
+ * The canary check compares the whole canary at once: a flip in its
+ * first, a middle or its last word is caught exactly like one inside
+ * it, counted once, and repaired to the bytes an untouched rig holds.
+ */
+TEST(FaultInject, CanaryFlipAtEitherEndOrTheMiddleDemotesOnce)
+{
+    constexpr Word kCanaryBytes = kPageBytes - os::kUexcCanaryOffset;
+    for (Word off : {Word(0), kCanaryBytes / 2, kCanaryBytes - 4}) {
+        SCOPED_TRACE(off);
+        Rig plain;
+        FaultInjector inj;
+        Rig rig(&inj);
+        Addr canary_pa =
+            rig.physOf(os::kUexcFramePage) + os::kUexcCanaryOffset;
+        inj.addEvent({FaultKind::MemBitFlip, 0, rig.env().cpu().instret(),
+                      canary_pa + off, off % 32, 0});
+
+        rig.env().protect(kRegion, kRegionBytes, kProtRead);
+        rig.env().store(kRegion + 4, 55);
+        EXPECT_EQ(rig.env().load(kRegion + 4), 55u);
+        EXPECT_EQ(rig.env().stats().savePageCorruptions, 1u);
+        EXPECT_EQ(rig.env().stats().deliveryDemoted, 1u);
+
+        std::vector<Byte> repaired(kCanaryBytes), untouched(kCanaryBytes);
+        rig.machine().mem().readBlock(canary_pa, repaired.data(),
+                                      kCanaryBytes);
+        plain.machine().mem().readBlock(
+            plain.physOf(os::kUexcFramePage) + os::kUexcCanaryOffset,
+            untouched.data(), kCanaryBytes);
+        EXPECT_EQ(repaired, untouched);
+    }
+}
+
 /** A data-region bit flip before the final rewrite cannot survive
  *  (the rig closes the injection window before the rewrite). */
 TEST(FaultInject, DataBitFlipIsOverwrittenByRecovery)

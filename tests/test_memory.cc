@@ -5,6 +5,11 @@
 
 #include <gtest/gtest.h>
 
+#include <fstream>
+#include <memory>
+#include <string>
+#include <vector>
+
 #include "common/logging.h"
 #include "sim/memory.h"
 
@@ -205,6 +210,103 @@ TEST_F(QuietMemory, ZeroOrOddSizeIsFatal)
 {
     EXPECT_THROW(PhysMemory(0), FatalError);
     EXPECT_THROW(PhysMemory(4095), FatalError);
+}
+
+// -- the arena's contract ----------------------------------------------------
+
+/** Lines in /proc/self/maps (host mappings); -1 if unreadable. */
+int
+hostMappings()
+{
+    std::ifstream maps("/proc/self/maps");
+    if (!maps)
+        return -1;
+    int lines = 0;
+    for (std::string line; std::getline(maps, line);)
+        lines++;
+    return lines;
+}
+
+/** Host address space in kB (VmSize); -1 if unreadable. */
+long
+hostVmKb()
+{
+    std::ifstream status("/proc/self/status");
+    for (std::string key; status >> key;) {
+        long kb = 0;
+        if (key == "VmSize:" && status >> kb)
+            return kb;
+    }
+    return -1;
+}
+
+TEST(PhysMemoryArena, FreshMemoryReadsZeroAtEveryWordIncludingTheTail)
+{
+    constexpr std::size_t kSize = 3 * kPage + 64;  // short tail page
+    PhysMemory mem(kSize);
+    EXPECT_EQ(mem.size(), kSize);
+    for (Addr a = 0; a < kSize; a += 4)
+        ASSERT_EQ(mem.readWord(a), 0u) << "paddr " << a;
+    std::vector<Byte> all(kSize, 0xff);
+    mem.readBlock(0, all.data(), kSize);
+    EXPECT_EQ(all, std::vector<Byte>(kSize, 0));
+}
+
+TEST_F(QuietMemory, BadSizeIsFatalBeforeAnythingIsMapped)
+{
+    // Sixteen refused 64 MiB + 2 memories would leave 1 GiB of address
+    // space mapped if the size were checked after the mmap: far past
+    // any allocator noise, where a refused 4095 would leave one page.
+    long before = hostVmKb();
+    if (before < 0)
+        GTEST_SKIP() << "no /proc/self/status on this host";
+    for (unsigned i = 0; i < 16; i++)
+        EXPECT_THROW(PhysMemory((std::size_t(64) << 20) + 2), FatalError);
+    EXPECT_LT(hostVmKb() - before, 256 * 1024);
+}
+
+TEST_F(QuietMemory, OutOfRangeBlockAndSubWordAccessesPanic)
+{
+    constexpr std::size_t kSize = kPage + 64;
+    PhysMemory mem(kSize);
+    const Addr end = Addr(kSize);
+    Byte buf[8] = {};
+    EXPECT_THROW(mem.readHalf(end), PanicError);
+    EXPECT_THROW(mem.writeByte(end, 1), PanicError);
+    EXPECT_THROW(mem.readBlock(end - 4, buf, 8), PanicError);
+    EXPECT_THROW(mem.writeBlock(end - 4, buf, 8), PanicError);
+    EXPECT_THROW(mem.clearRange(end - 4, 8), PanicError);
+    EXPECT_THROW(mem.blockIsZero(end - 4, 8), PanicError);
+    // the last word is still in range
+    mem.writeWord(end - 4, 9);
+    EXPECT_EQ(mem.readWord(end - 4), 9u);
+}
+
+TEST(PhysMemoryArena, DestroyingMemoriesReturnsTheirMappings)
+{
+    if (hostMappings() < 0)
+        GTEST_SKIP() << "no /proc/self/maps on this host";
+    auto build_and_destroy = [] {
+        std::vector<std::unique_ptr<PhysMemory>> mems;
+        for (unsigned i = 0; i < 64; i++) {
+            mems.push_back(std::make_unique<PhysMemory>(32u << 20));
+            // touch one page so each arena is really backed
+            mems.back()->writeWord(Addr(i) * Addr(kPage), i + 1);
+        }
+        for (unsigned i = 0; i < 64; i++)
+            EXPECT_EQ(mems[i]->readWord(Addr(i) * Addr(kPage)), i + 1);
+    };
+    // The first round may grow the host allocator's own regions (a
+    // sanitizer's allocator maps a region per size class). The host
+    // kernel merges adjacent anonymous mappings, so leaked arenas can
+    // add no line to the maps; they would add 2 GiB of address space
+    // a round.
+    build_and_destroy();
+    int before = hostMappings();
+    long before_kb = hostVmKb();
+    build_and_destroy();
+    EXPECT_EQ(hostMappings(), before);
+    EXPECT_LT(hostVmKb() - before_kb, 256 * 1024);
 }
 
 } // namespace

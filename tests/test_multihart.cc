@@ -428,9 +428,8 @@ TEST(Multihart, InvalidateTlbsDropsTheMappingOnEveryHart)
 
 struct GuestRig
 {
-    explicit GuestRig(unsigned n, bool user_vectored)
+    GuestRig(unsigned n, bool user_vectored, MachineConfig cfg = {})
     {
-        MachineConfig cfg;
         cfg.harts = n;
         cfg.quantum = 100;
         cfg.cpu.userVectorHw = true;
@@ -480,6 +479,40 @@ TEST(Multihart, KernelMediatedGuestCountsPerHartExceptions)
         EXPECT_GE(counted + 1, delivered) << "hart " << i;
         EXPECT_LE(counted, delivered) << "hart " << i;
     }
+}
+
+/**
+ * The fast interpreter decodes a slot on its first fetch at each page
+ * version, not the whole page. Every kernel-mediated exception stores
+ * into the kernel's page (the per-hart save slot), so each one makes
+ * the handler's slots stale; the exact decode count pins what a burst
+ * of exceptions costs in decodes, a handful per exception where a
+ * whole-page redecode would cost 1024.
+ */
+TEST(Multihart, KernelMediatedExceptionDecodesOnlyTheSlotsItRuns)
+{
+    constexpr unsigned kHarts = 4;
+    MachineConfig cfg;
+    cfg.cpu.fastInterpreter = true;
+    // Serial, whatever UEXC_PARALLEL says: a barrier round that aborts
+    // drops its harts' decoded pages, so the count is per scheduler.
+    cfg.scheduler = SchedulerMode::Serial;
+    GuestRig rig(kHarts, /*user_vectored=*/false, cfg);
+    auto totals = [&rig] {
+        std::pair<std::uint64_t, std::uint64_t> t{0, 0};
+        for (unsigned i = 0; i < kHarts; i++) {
+            t.first += rig.m->hart(i).stats().exceptionsTaken;
+            t.second += rig.m->hart(i).fastDecodes();
+        }
+        return t;
+    };
+    rig.m->run(4000);  // warm: every page and slot seen once
+    auto [exc0, dec0] = totals();
+    rig.m->run(40000);
+    auto [exc1, dec1] = totals();
+    EXPECT_EQ(exc1 - exc0, 2220u);
+    EXPECT_EQ(dec1 - dec0, 31108u);
+    EXPECT_LE(dec1 - dec0, 32 * (exc1 - exc0));
 }
 
 TEST(Multihart, UserVectoredGuestNeverEntersTheKernel)
