@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <vector>
 
 #include "apps/gc/gc.h"
 #include "apps/gc/workloads.h"
@@ -206,19 +207,85 @@ INSTANTIATE_TEST_SUITE_P(
         }
     });
 
+/** One pinned workload run: the exact counts the collector produced
+ *  for one delivery mode and one write barrier. */
+struct GcPin
+{
+    DeliveryMode mode;
+    BarrierKind barrier;
+    Cycles cycles;
+    std::uint64_t faultsDelivered;
+    std::uint64_t collections;
+    std::uint64_t objectsSwept;
+    std::uint64_t blocksPromoted;
+    std::uint64_t pagesReprotected;
+    std::uint64_t rememberedObjects;
+};
+
+/** Run @p workload under each pin's mode and barrier and compare every
+ *  pinned count exactly: a collector change that keeps the shape of
+ *  a run but moves its work shows up here. */
+template <typename Workload>
+void
+expectPinned(const std::vector<GcPin> &pins, Workload workload)
+{
+    for (const GcPin &pin : pins) {
+        BootedKernel bk(osMachineConfig(true));
+        UserEnv env(bk.kernel, pin.mode);
+        env.install(kAllExcMask);
+        GcRunResult r = workload(env, pin.barrier);
+        SCOPED_TRACE(::testing::Message()
+                     << "mode " << static_cast<int>(pin.mode)
+                     << " barrier " << static_cast<int>(pin.barrier)
+                     << ": {" << r.cycles << ", " << r.faultsDelivered
+                     << ", " << r.gc.collections << ", "
+                     << r.gc.objectsSwept << ", " << r.gc.blocksPromoted
+                     << ", " << r.gc.pagesReprotected << ", "
+                     << r.gc.rememberedObjects << "}");
+        EXPECT_EQ(r.cycles, pin.cycles);
+        EXPECT_EQ(r.faultsDelivered, pin.faultsDelivered);
+        EXPECT_EQ(r.gc.collections, pin.collections);
+        EXPECT_EQ(r.gc.objectsSwept, pin.objectsSwept);
+        EXPECT_EQ(r.gc.blocksPromoted, pin.blocksPromoted);
+        EXPECT_EQ(r.gc.pagesReprotected, pin.pagesReprotected);
+        EXPECT_EQ(r.gc.rememberedObjects, pin.rememberedObjects);
+    }
+}
+
+constexpr BarrierKind kPage = BarrierKind::PageProtection;
+constexpr BarrierKind kSoft = BarrierKind::SoftwareCheck;
+constexpr DeliveryMode kUltrix = DeliveryMode::UltrixSignal;
+constexpr DeliveryMode kFastSw = DeliveryMode::FastSoftware;
+constexpr DeliveryMode kFastHw = DeliveryMode::FastHardwareVector;
+
 TEST(GcWorkloads, LispOpsRunsInPaperRegime)
 {
     BootedKernel bk(osMachineConfig(true));
     UserEnv env(bk.kernel, DeliveryMode::FastSoftware);
     env.install(kAllExcMask);
     GcWorkloadParams params;
-    params.lispIterations = 30;   // shortened for the test suite
+    // shortened for the test suite, but long enough for two full
+    // collections
+    params.lispIterations = 150;
     params.lispTreeDepth = 8;
     params.youngBudgetBytes = 24 * 1024;
     GcRunResult r = runLispOps(env, BarrierKind::PageProtection, params);
     EXPECT_GT(r.gc.collections, 0u);
     EXPECT_GT(r.gc.barrierFaults, 0u);
     EXPECT_GT(r.cycles, 0u);
+
+    expectPinned(
+        {
+            {kUltrix, kPage, 2006879, 170, 18, 25346, 126, 1140, 0},
+            {kFastSw, kPage, 1617571, 170, 18, 25346, 126, 1140, 0},
+            {kFastHw, kPage, 1561955, 182, 18, 25346, 126, 1140, 0},
+            {kUltrix, kSoft, 1802550, 0, 18, 25346, 126, 0, 183},
+            {kFastSw, kSoft, 1802550, 0, 18, 25346, 126, 0, 183},
+            {kFastHw, kSoft, 1802550, 0, 18, 25346, 126, 0, 183},
+        },
+        [&](UserEnv &e, BarrierKind barrier) {
+            return runLispOps(e, barrier, params);
+        });
 }
 
 /** Walk @p node against the shape buildTree promises, a complete
@@ -278,6 +345,19 @@ TEST(GcWorkloads, ArrayTestFaultsOnOldArrayPages)
                                  params);
     EXPECT_GT(r.gc.barrierFaults, 100u);
     EXPECT_GT(r.gc.collections, 0u);
+
+    expectPinned(
+        {
+            {kUltrix, kPage, 938901, 161, 4, 465, 36, 255, 0},
+            {kFastSw, kPage, 570618, 161, 4, 465, 36, 255, 0},
+            {kFastHw, kPage, 521887, 404, 4, 465, 36, 255, 0},
+            {kUltrix, kSoft, 679812, 0, 4, 465, 36, 0, 5},
+            {kFastSw, kSoft, 679812, 0, 4, 465, 36, 0, 5},
+            {kFastHw, kSoft, 679812, 0, 4, 465, 36, 0, 5},
+        },
+        [&](UserEnv &e, BarrierKind barrier) {
+            return runArrayTest(e, barrier, params);
+        });
 }
 
 TEST(GcWorkloads, FastExceptionsBeatUltrixOnArrayTest)
