@@ -1,5 +1,7 @@
 #include "apps/gc/gc.h"
 
+#include <algorithm>
+
 #include "common/bits.h"
 #include "common/logging.h"
 
@@ -9,28 +11,25 @@ using namespace os;
 
 namespace {
 
-/** Host-side cycle charges for collector bookkeeping that has no
- *  per-word heap traffic of its own (the traffic is charged by the
- *  UserEnv accessors). Rough R3000 instruction estimates. */
-constexpr Cycles kAllocCycles = 12;       // size lookup, bump, header
-constexpr Cycles kMarkVisitCycles = 8;    // stack pop, header test, set
-constexpr Cycles kSweepCycles = 4;        // per young object at sweep
-constexpr Cycles kRootScanCycles = 3;     // per root slot
+/** Cycles per inline software check (Hosking & Moss: 5). */
+constexpr Cycles kSoftwareCheckCycles = 5;
+/** Every this many collections, one is a full (all-generations) one. */
+constexpr unsigned kFullCollectEvery = 8;
 
 } // namespace
 
 Collector::Collector(rt::UserEnv &env, const Config &config)
-    : env_(env), config_(config), heapBump_(config.heapBase)
+    : env_(env), config_(config), heap_(env, config.numRoots),
+      heapBump_(config.heapBase)
 {
     if (!isAligned(config.heapBase, kBlockBytes))
         UEXC_FATAL("gc: heap base 0x%08x not block aligned",
                    config.heapBase);
-    roots_.assign(config.numRoots, 0);
 
     if (config_.barrier == BarrierKind::PageProtection) {
         env_.setHandler([this](rt::Fault &f) { onFault(f); });
         if (env_.mode() != rt::DeliveryMode::UltrixSignal)
-            env_.setEagerAmplify(config_.eagerAmplify);
+            env_.setEagerAmplify(true);
     }
 }
 
@@ -59,49 +58,27 @@ Collector::newBlock(bool old_gen)
 }
 
 Addr
-Collector::allocInBlock(Block &block, unsigned payload_words)
-{
-    Word need = 4 * (payload_words + 1);
-    Addr header = block.base + block.bumpOffset;
-    block.bumpOffset += need;
-    Addr payload = header + 4;
-    // object header: size in words (realism: the sweep phase of a real
-    // collector walks these)
-    env_.store(header, payload_words);
-    // objects are returned zeroed (recycled blocks hold old bits)
-    for (unsigned i = 0; i < payload_words; i++)
-        env_.store(payload + 4 * i, 0);
-    Object obj;
-    obj.words = payload_words;
-    obj.block = &block;
-    objects_[payload] = obj;
-    block.objects.push_back(payload);
-    env_.cpu().charge(kAllocCycles);
-    stats_.allocations++;
-    stats_.allocatedBytes += need;
-    return payload;
-}
-
-Addr
 Collector::alloc(unsigned payload_words)
 {
     Word need = 4 * (payload_words + 1);
     if (need > kBlockBytes)
         return allocOld(payload_words);
 
-    if (youngAllocated_ + need > config_.youngBudgetBytes) {
-        bool full = config_.fullCollectEvery != 0 &&
-                    youngCollectsSinceFull_ + 1 >=
-                        config_.fullCollectEvery;
-        collectImpl(full);
-    }
+    if (youngAllocated_ + need > config_.youngBudgetBytes)
+        collectImpl(youngCollectsSinceFull_ + 1 >= kFullCollectEvery);
 
     if (!allocBlock_ ||
         allocBlock_->bumpOffset + need > kBlockBytes) {
         allocBlock_ = &newBlock(false);
     }
     youngAllocated_ += need;
-    return allocInBlock(*allocBlock_, payload_words);
+    Block &b = *allocBlock_;
+    Addr payload = heap_.place(b.base + b.bumpOffset, payload_words, false);
+    b.bumpOffset += need;
+    b.objects.push_back(payload);
+    stats_.allocations++;
+    stats_.allocatedBytes += need;
+    return payload;
 }
 
 Addr
@@ -109,32 +86,17 @@ Collector::allocOld(unsigned payload_words)
 {
     Word need = 4 * (payload_words + 1);
     unsigned nblocks = (need + kBlockBytes - 1) / kBlockBytes;
-    // old large objects take fresh contiguous blocks
-    Block *first = nullptr;
-    for (unsigned i = 0; i < nblocks; i++) {
-        Block &b = newBlock(true);
-        if (!first) {
-            first = &b;
-        } else if (b.base != first->base + i * kBlockBytes) {
-            UEXC_FATAL("gc: large object blocks not contiguous");
-        }
-    }
-    Addr header = first->base;
+    // old large objects take fresh blocks, contiguous because old
+    // blocks always come from the bump pointer; every covered block
+    // lists the object so dirty-page scans find it. Fresh blocks are
+    // already zero, so only the header is stored.
+    Addr header = heapBump_;
     Addr payload = header + 4;
+    for (unsigned i = 0; i < nblocks; i++)
+        newBlock(true).objects.push_back(payload);
     env_.store(header, payload_words);
-    Object obj;
-    obj.words = payload_words;
-    obj.block = first;
-    objects_[payload] = obj;
-    // register in every covered block so dirty-page scans find it
-    Addr end = payload + 4 * payload_words;
-    for (auto &bp : blocks_) {
-        if (bp->base >= first->base && bp->base < end)
-            if (bp.get() != first)
-                bp->objects.push_back(payload);
-    }
-    first->objects.push_back(payload);
-    env_.cpu().charge(kAllocCycles + nblocks);
+    heap_.objects[payload] = HeapObject{payload_words};
+    env_.cpu().charge(GcHeap::kAllocCycles + nblocks);
     stats_.allocations++;
     stats_.allocatedBytes += need;
     if (config_.barrier == BarrierKind::PageProtection)
@@ -145,8 +107,7 @@ Collector::allocOld(unsigned payload_words)
 bool
 Collector::isOld(Addr payload) const
 {
-    auto it = objects_.find(payload);
-    return it != objects_.end() && it->second.block->old;
+    return isObject(payload) && blockOf(payload).old;
 }
 
 void
@@ -157,39 +118,13 @@ Collector::writeWord(Addr payload, unsigned index, Word value)
         // the inline check: is the stored-into object old and the
         // stored value a young pointer? (exact remembered set)
         stats_.barrierChecks++;
-        env_.cpu().charge(config_.softwareCheckCycles);
-        auto dst = objects_.find(payload);
-        if (dst != objects_.end() && dst->second.block->old) {
-            auto src = objects_.find(value);
-            if (src != objects_.end() && !src->second.block->old) {
-                if (remembered_.insert(payload).second)
-                    stats_.rememberedObjects++;
-            }
+        env_.cpu().charge(kSoftwareCheckCycles);
+        if (isOld(payload) && isObject(value) && !isOld(value) &&
+            remembered_.insert(payload).second) {
+            stats_.rememberedObjects++;
         }
     }
     env_.store(addr, value);
-}
-
-Word
-Collector::readWord(Addr payload, unsigned index)
-{
-    return env_.load(payload + 4 * index);
-}
-
-void
-Collector::setRoot(unsigned slot, Addr payload)
-{
-    if (slot >= roots_.size())
-        UEXC_FATAL("gc: root slot %u out of range", slot);
-    roots_[slot] = payload;
-}
-
-Addr
-Collector::root(unsigned slot) const
-{
-    if (slot >= roots_.size())
-        UEXC_FATAL("gc: root slot %u out of range", slot);
-    return roots_[slot];
 }
 
 void
@@ -206,27 +141,22 @@ Collector::onFault(rt::Fault &fault)
         // the TLBMP instruction (sections 2.2/3.2.3 pair user-level
         // delivery with user-level TLB protection modification)
         env_.userTlbModify(page, /*writable=*/true, /*valid=*/true);
-    } else if (env_.mode() == rt::DeliveryMode::UltrixSignal ||
-               !config_.eagerAmplify) {
+    } else if (env_.mode() == rt::DeliveryMode::UltrixSignal) {
         // Under Unix signals the handler must re-enable access with
         // mprotect (a second kernel crossing); the fast software
-        // scheme with eager amplification already did it in-kernel.
+        // scheme's eager amplification already did it in-kernel.
         env_.protect(page, kBlockBytes, kProtRead | kProtWrite);
     }
 }
 
 void
-Collector::scanObject(Addr payload, const Object &obj, bool full)
+Collector::scanObject(Addr payload, const HeapObject &obj, bool full)
 {
-    Addr end = payload + 4 * obj.words;
-    for (Addr addr = payload; addr < end; addr += 4) {
-        Word w = env_.load(addr);
-        auto it = objects_.find(w);
-        if (it != objects_.end() && !it->second.marked &&
-            (full || !it->second.block->old)) {
-            markStack_.push_back(w);
-        }
-    }
+    heap_.scan(payload, payload + 4 * obj.words,
+               [&](Addr w, const HeapObject &target) {
+                   if (!target.marked && (full || !blockOf(w).old))
+                       markStack_.push_back(w);
+               });
 }
 
 void
@@ -254,45 +184,35 @@ Collector::collectImpl(bool full)
     markStack_.clear();
 
     // roots
-    for (Addr r : roots_) {
-        env_.cpu().charge(kRootScanCycles);
-        auto it = objects_.find(r);
-        if (it != objects_.end() &&
-            (full || !it->second.block->old)) {
+    for (Addr r : heap_.roots()) {
+        env_.cpu().charge(GcHeap::kRootScanCycles);
+        if (isObject(r) && (full || !blockOf(r).old))
             markStack_.push_back(r);
-        }
     }
 
     // barrier sources: dirty old pages or the remembered set (a full
     // collection traces through old objects and needs neither)
     if (!full && config_.barrier == BarrierKind::PageProtection) {
         for (Addr page : dirtyPages_) {
-            for (auto &bp : blocks_) {
-                if (bp->base != page || !bp->old)
-                    continue;
-                for (Addr obj_addr : bp->objects) {
-                    const Object &obj = objects_.at(obj_addr);
-                    // scan only the dirty-page window of the object
-                    Addr lo = std::max(obj_addr, page);
-                    Addr hi = std::min(obj_addr + 4 * obj.words,
-                                       page + kBlockBytes);
-                    for (Addr a = lo; a < hi; a += 4) {
-                        Word w = env_.load(a);
-                        auto it = objects_.find(w);
-                        if (it != objects_.end() &&
-                            !it->second.block->old &&
-                            !it->second.marked) {
-                            markStack_.push_back(w);
-                        }
-                    }
-                }
+            const Block &b = blockOf(page);
+            if (!b.old)
+                continue;
+            for (Addr obj_addr : b.objects) {
+                // scan only the dirty-page window of the object
+                Addr lo = std::max(obj_addr, page);
+                Addr hi = std::min(
+                    obj_addr + 4 * heap_.objects.at(obj_addr).words,
+                    page + kBlockBytes);
+                heap_.scan(lo, hi, [&](Addr w, const HeapObject &target) {
+                    if (!target.marked && !blockOf(w).old)
+                        markStack_.push_back(w);
+                });
             }
         }
     } else if (!full) {
         for (Addr obj_addr : remembered_) {
-            auto it = objects_.find(obj_addr);
-            if (it != objects_.end())
-                scanObject(obj_addr, it->second, false);
+            if (const HeapObject *obj = heap_.find(obj_addr))
+                scanObject(obj_addr, *obj, false);
         }
     }
 
@@ -300,12 +220,12 @@ Collector::collectImpl(bool full)
     while (!markStack_.empty()) {
         Addr p = markStack_.back();
         markStack_.pop_back();
-        Object &obj = objects_.at(p);
-        if (obj.marked || (!full && obj.block->old))
+        HeapObject &obj = heap_.objects.at(p);
+        if (obj.marked || (!full && blockOf(p).old))
             continue;
         obj.marked = true;
         stats_.objectsMarked++;
-        env_.cpu().charge(kMarkVisitCycles);
+        env_.cpu().charge(GcHeap::kMarkVisitCycles);
         scanObject(p, obj, full);
     }
 
@@ -316,15 +236,14 @@ Collector::collectImpl(bool full)
             continue;
         std::vector<Addr> survivors;
         for (Addr obj_addr : b.objects) {
-            env_.cpu().charge(kSweepCycles);
-            auto it = objects_.find(obj_addr);
-            if (it == objects_.end())
+            env_.cpu().charge(GcHeap::kSweepCycles);
+            auto it = heap_.objects.find(obj_addr);
+            if (it == heap_.objects.end())
                 continue;   // multi-block object already erased
-            Object &obj = it->second;
-            if (obj.marked) {
+            if (it->second.marked) {
                 survivors.push_back(obj_addr);
             } else {
-                objects_.erase(it);
+                heap_.objects.erase(it);
                 stats_.objectsSwept++;
             }
         }
@@ -343,7 +262,7 @@ Collector::collectImpl(bool full)
     }
     // clear mark bits on every survivor (old survivors of a full
     // collection keep their entries)
-    for (auto &entry : objects_)
+    for (auto &entry : heap_.objects)
         entry.second.marked = false;
 
     allocBlock_ = nullptr;

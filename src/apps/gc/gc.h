@@ -10,39 +10,41 @@
  * delivery path of whichever mechanism is configured.
  *
  * Old-to-young pointer tracking — the generational write barrier — is
- * pluggable with the paper's three competing strategies:
+ * pluggable with the two strategies the paper compares:
  *
  *  - BarrierKind::PageProtection
  *      Pages holding old-generation blocks are write-protected after
  *      each collection. A store into one faults; the handler records
  *      the page as dirty. Under UltrixSignal delivery the handler
  *      must also mprotect() the page writable (a second kernel
- *      crossing); under FastSoftware delivery with eager
- *      amplification the kernel already re-enabled access before the
- *      upcall (section 3.2.3), so the handler only records.
+ *      crossing); under FastSoftware delivery the kernel's eager
+ *      amplification already re-enabled access before the upcall
+ *      (section 3.2.3), so the handler only records; under
+ *      FastHardwareVector delivery no kernel runs and the handler
+ *      re-enables access itself with a user-level TLB write.
  *
  *  - BarrierKind::SoftwareCheck
  *      Every pointer store through the mutator API pays an inline
- *      check of a configurable cycle cost (Hosking & Moss's 5
- *      instructions by default) and maintains an exact remembered
- *      set. No protection faults occur.
+ *      check (Hosking & Moss's 5 instructions) and maintains an exact
+ *      remembered set. No protection faults occur.
  *
  * Blocks are 4 KB and promotion is block-granular: a block with any
  * survivor becomes old wholesale, which is what makes page-level
  * protection line up with generation boundaries (as in the Xerox
- * collector's block structure).
+ * collector's block structure). Blocks are laid out in address
+ * order from the heap base, so an address's block is one index.
+ * Objects, roots and the placement and scan loops are the GcHeap
+ * (heap.h) that the incremental collector shares.
  */
 
 #ifndef UEXC_APPS_GC_GC_H
 #define UEXC_APPS_GC_GC_H
 
-#include <algorithm>
 #include <memory>
-#include <unordered_map>
 #include <unordered_set>
 #include <vector>
 
-#include "core/env.h"
+#include "apps/gc/heap.h"
 
 namespace uexc::apps {
 
@@ -83,15 +85,8 @@ class Collector
         BarrierKind barrier = BarrierKind::PageProtection;
         /** Young-generation allocation budget between collections. */
         Word youngBudgetBytes = 256 * 1024;
-        /** Cycles per inline software check (Hosking & Moss: 5). */
-        Cycles softwareCheckCycles = 5;
-        /** Use eager amplification (fast delivery modes only). */
-        bool eagerAmplify = true;
         /** Number of root slots. */
         unsigned numRoots = 64;
-        /** Run a full (all-generations) collection every N young
-         *  collections; 0 disables full collections. */
-        unsigned fullCollectEvery = 8;
     };
 
     Collector(rt::UserEnv &env, const Config &config);
@@ -115,11 +110,14 @@ class Collector
     /** Pointer store through the write barrier. */
     void writeWord(Addr payload, unsigned index, Word value);
     /** Heap read (costed through the simulated memory system). */
-    Word readWord(Addr payload, unsigned index);
+    Word readWord(Addr payload, unsigned index)
+    {
+        return env_.load(payload + 4 * index);
+    }
 
     /** Root slots: the mutator's named references into the heap. */
-    void setRoot(unsigned slot, Addr payload);
-    Addr root(unsigned slot) const;
+    void setRoot(unsigned slot, Addr payload) { heap_.setRoot(slot, payload); }
+    Addr root(unsigned slot) const { return heap_.root(slot); }
 
     // -- collection -----------------------------------------------------------
 
@@ -130,11 +128,11 @@ class Collector
 
     const GcStats &stats() const { return stats_; }
     /** Live young+old object count (for tests). */
-    std::size_t liveObjects() const { return objects_.size(); }
+    std::size_t liveObjects() const { return heap_.objects.size(); }
     /** Whether @p payload is a live object payload address. */
     bool isObject(Addr payload) const
     {
-        return objects_.count(payload) != 0;
+        return heap_.objects.count(payload) != 0;
     }
     bool isOld(Addr payload) const;
 
@@ -150,30 +148,27 @@ class Collector
         std::vector<Addr> objects;  ///< payload addresses
     };
 
-    struct Object
-    {
-        unsigned words = 0;
-        bool marked = false;
-        Block *block = nullptr;
-    };
-
     Block &newBlock(bool old_gen);
-    Addr allocInBlock(Block &block, unsigned payload_words);
+    /** The block holding @p addr, which must lie below heapBump_. */
+    Block &blockOf(Addr addr) const
+    {
+        return *blocks_[(addr - config_.heapBase) / kBlockBytes];
+    }
     void onFault(rt::Fault &fault);
     void collectImpl(bool full);
-    void scanObject(Addr payload, const Object &obj, bool full);
+    void scanObject(Addr payload, const HeapObject &obj, bool full);
     void reprotectOldBlocks();
 
     rt::UserEnv &env_;
     Config config_;
     GcStats stats_;
+    GcHeap heap_;
 
     Addr heapBump_;                       ///< next fresh block address
+    /** blocks_[i] starts at heapBase + i * kBlockBytes */
     std::vector<std::unique_ptr<Block>> blocks_;
     std::vector<Block *> freeBlocks_;
     Block *allocBlock_ = nullptr;         ///< current young alloc block
-    std::unordered_map<Addr, Object> objects_;
-    std::vector<Addr> roots_;
     Word youngAllocated_ = 0;
 
     // barrier state

@@ -8,19 +8,19 @@ namespace uexc::apps {
 using namespace os;
 
 namespace {
-constexpr Cycles kVisitCycles = 8;
-constexpr Cycles kSweepCycles = 4;
-constexpr Cycles kAllocCycles = 12;
+
+/** Allocated bytes that start a new collection cycle. */
+constexpr Word kAllocTrigger = 128 * 1024;
+
 } // namespace
 
 IncrementalCollector::IncrementalCollector(rt::UserEnv &env,
                                            const Config &config)
-    : env_(env), config_(config), bump_(config.heapBase),
-      mapped_(config.heapBase)
+    : env_(env), config_(config), heap_(env, config.numRoots),
+      bump_(config.heapBase), mapped_(config.heapBase)
 {
     if (!isAligned(config.heapBase, kPageBytes))
         UEXC_FATAL("incremental gc: heap base not page aligned");
-    roots_.assign(config.numRoots, 0);
     env_.setHandler([this](rt::Fault &f) { onFault(f); });
     if (env_.mode() == rt::DeliveryMode::FastSoftware)
         env_.setEagerAmplify(true);
@@ -40,10 +40,8 @@ IncrementalCollector::alloc(unsigned payload_words)
         UEXC_FATAL("incremental gc: object of %u words too large",
                    payload_words);
 
-    if (phase_ == Phase::Idle &&
-        allocatedSinceCycle_ >= config_.allocTrigger) {
+    if (phase_ == Phase::Idle && allocatedSinceCycle_ >= kAllocTrigger)
         startCycle();
-    }
     if (phase_ != Phase::Idle)
         step();   // the incremental work tax on every allocation
 
@@ -60,55 +58,23 @@ IncrementalCollector::alloc(unsigned payload_words)
         mapped_ += kPageBytes;
     }
 
-    Addr payload = header + 4;
-    env_.store(header, payload_words);
-    for (unsigned i = 0; i < payload_words; i++)
-        env_.store(payload + 4 * i, 0);
-
-    Object obj;
-    obj.words = payload_words;
-    // objects born during a mark phase are allocated black
-    obj.marked = (phase_ == Phase::Marking);
-    obj.scanned = obj.marked;
-    objects_[payload] = obj;
     allocatedSinceCycle_ += need;
-    env_.cpu().charge(kAllocCycles);
-    return payload;
-}
-
-void
-IncrementalCollector::writeWord(Addr payload, unsigned index, Word value)
-{
-    env_.store(payload + 4 * index, value);
-}
-
-Word
-IncrementalCollector::readWord(Addr payload, unsigned index)
-{
-    return env_.load(payload + 4 * index);
+    // objects born during a mark phase are allocated black
+    return heap_.place(header, payload_words, phase_ == Phase::Marking);
 }
 
 void
 IncrementalCollector::setRoot(unsigned slot, Addr payload)
 {
-    if (slot >= roots_.size())
-        UEXC_FATAL("incremental gc: root slot %u out of range", slot);
-    roots_[slot] = payload;
-    if (phase_ == Phase::Marking && objects_.count(payload)) {
-        // a new root during marking must be grayed or it may be
-        // swept under the mutator
-        Object &obj = objects_.at(payload);
-        if (!obj.marked) {
-            obj.marked = true;
-            gray_.push_back(payload);
-        }
+    heap_.setRoot(slot, payload);
+    // a new root during marking must be grayed or it may be swept
+    // under the mutator
+    HeapObject *obj = phase_ == Phase::Marking ? heap_.find(payload)
+                                                : nullptr;
+    if (obj && !obj->marked) {
+        obj->marked = true;
+        gray_.push_back(payload);
     }
-}
-
-Addr
-IncrementalCollector::root(unsigned slot) const
-{
-    return roots_.at(slot);
 }
 
 void
@@ -118,16 +84,16 @@ IncrementalCollector::startCycle()
         return;
     stats_.cycles++;
     phase_ = Phase::Marking;
-    for (auto &entry : objects_) {
+    for (auto &entry : heap_.objects) {
         entry.second.marked = false;
         entry.second.scanned = false;
     }
-    env_.cpu().charge(objects_.size());   // mark-bit clear pass
+    env_.cpu().charge(heap_.objects.size());   // mark-bit clear pass
     gray_.clear();
-    for (Addr r : roots_) {
-        auto it = objects_.find(r);
-        if (it != objects_.end() && !it->second.marked) {
-            it->second.marked = true;
+    for (Addr r : heap_.roots()) {
+        HeapObject *obj = heap_.find(r);
+        if (obj && !obj->marked) {
+            obj->marked = true;
             gray_.push_back(r);
         }
     }
@@ -149,17 +115,15 @@ IncrementalCollector::unprotectAll()
 }
 
 void
-IncrementalCollector::scan(Addr payload, Object &obj)
+IncrementalCollector::scan(Addr payload, HeapObject &obj)
 {
-    Addr end = payload + 4 * obj.words;
-    for (Addr addr = payload; addr < end; addr += 4) {
-        Word w = env_.load(addr);
-        auto it = objects_.find(w);
-        if (it != objects_.end() && !it->second.marked) {
-            it->second.marked = true;
-            gray_.push_back(w);
-        }
-    }
+    heap_.scan(payload, payload + 4 * obj.words,
+               [&](Addr w, HeapObject &target) {
+                   if (!target.marked) {
+                       target.marked = true;
+                       gray_.push_back(w);
+                   }
+               });
     obj.scanned = true;
     // the consistency barrier: once scanned, writes must be caught
     protectScannedPage(pageOf(payload));
@@ -178,19 +142,19 @@ IncrementalCollector::step()
         while (budget-- && !gray_.empty()) {
             Addr p = gray_.front();
             gray_.pop_front();
-            auto it = objects_.find(p);
-            if (it == objects_.end() || it->second.scanned)
+            HeapObject *obj = heap_.find(p);
+            if (!obj || obj->scanned)
                 continue;
             stats_.objectsMarked++;
-            env_.cpu().charge(kVisitCycles);
-            scan(p, it->second);
+            env_.cpu().charge(GcHeap::kMarkVisitCycles);
+            scan(p, *obj);
         }
         if (gray_.empty()) {
             // marking complete: drop the barrier, start sweeping
             unprotectAll();
             phase_ = Phase::Sweeping;
             sweepList_.clear();
-            for (const auto &entry : objects_)
+            for (const auto &entry : heap_.objects)
                 sweepList_.push_back(entry.first);
             sweepCursor_ = 0;
         }
@@ -198,12 +162,12 @@ IncrementalCollector::step()
         unsigned budget = config_.sliceBudget;
         while (budget-- && sweepCursor_ < sweepList_.size()) {
             Addr p = sweepList_[sweepCursor_++];
-            auto it = objects_.find(p);
-            if (it == objects_.end())
+            auto it = heap_.objects.find(p);
+            if (it == heap_.objects.end())
                 continue;
-            env_.cpu().charge(kSweepCycles);
+            env_.cpu().charge(GcHeap::kSweepCycles);
             if (!it->second.marked) {
-                objects_.erase(it);
+                heap_.objects.erase(it);
                 stats_.objectsSwept++;
             }
         }
@@ -251,7 +215,7 @@ IncrementalCollector::onFault(rt::Fault &fault)
         env_.process().as().amplify(page);
         break;
     }
-    for (auto &entry : objects_) {
+    for (auto &entry : heap_.objects) {
         if (pageOf(entry.first) != page)
             continue;
         if (entry.second.scanned) {

@@ -27,7 +27,7 @@
 #include <deque>
 #include <unordered_set>
 
-#include "core/env.h"
+#include "apps/gc/heap.h"
 
 namespace uexc::apps {
 
@@ -59,8 +59,6 @@ class IncrementalCollector
         Word heapBytes = 4 * 1024 * 1024;
         /** Object visits per marking slice (the pause bound). */
         unsigned sliceBudget = 64;
-        /** Allocated bytes that trigger a new collection cycle. */
-        Word allocTrigger = 128 * 1024;
         unsigned numRoots = 16;
     };
 
@@ -70,11 +68,17 @@ class IncrementalCollector
     Addr alloc(unsigned payload_words);
 
     /** Mutator store through the incremental barrier. */
-    void writeWord(Addr payload, unsigned index, Word value);
-    Word readWord(Addr payload, unsigned index);
+    void writeWord(Addr payload, unsigned index, Word value)
+    {
+        env_.store(payload + 4 * index, value);
+    }
+    Word readWord(Addr payload, unsigned index)
+    {
+        return env_.load(payload + 4 * index);
+    }
 
     void setRoot(unsigned slot, Addr payload);
-    Addr root(unsigned slot) const;
+    Addr root(unsigned slot) const { return heap_.root(slot); }
 
     /** Whether a collection cycle is in progress. */
     bool collecting() const { return phase_ != Phase::Idle; }
@@ -87,35 +91,27 @@ class IncrementalCollector
 
     bool isObject(Addr payload) const
     {
-        return objects_.count(payload) != 0;
+        return heap_.objects.count(payload) != 0;
     }
-    std::size_t liveObjects() const { return objects_.size(); }
+    std::size_t liveObjects() const { return heap_.objects.size(); }
     const IncStats &stats() const { return stats_; }
 
   private:
     enum class Phase { Idle, Marking, Sweeping };
 
-    struct Object
-    {
-        unsigned words = 0;
-        bool marked = false;
-        bool scanned = false;
-    };
-
     Addr pageOf(Addr addr) const;
     void protectScannedPage(Addr page);
     void unprotectAll();
     void onFault(rt::Fault &fault);
-    void scan(Addr payload, Object &obj);
+    void scan(Addr payload, HeapObject &obj);
 
     rt::UserEnv &env_;
     Config config_;
     IncStats stats_;
+    GcHeap heap_;
 
     Addr bump_;
     Addr mapped_;
-    std::unordered_map<Addr, Object> objects_;
-    std::vector<Addr> roots_;
     Word allocatedSinceCycle_ = 0;
 
     Phase phase_ = Phase::Idle;
