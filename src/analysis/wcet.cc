@@ -20,7 +20,7 @@ worstInstCycles(const DecodedInst &inst, const WcetConfig &config)
     Cycles c = cost.baseCost + sim::opExecuteExtraCycles(inst.op, cost) +
                sim::opMemoryExtraCycles(inst.op, cost) +
                sim::opTakenControlExtraCycles(inst.op, cost);
-    if (inst.isStore() && cost.writeBufferStall)
+    if (inst.isStore())
         c += cost.writeBufferStall;
     if (config.cachesEnabled) {
         c += cost.icacheMissPenalty;

@@ -88,7 +88,7 @@ class StraightLineCoster
                    sim::opMemoryExtraCycles(inst.op, cost_);
         if (inst.isStore()) {
             consecutiveStores_++;
-            if (consecutiveStores_ >= 2 && cost_.writeBufferStall)
+            if (consecutiveStores_ >= 2)
                 c += cost_.writeBufferStall;
         } else {
             consecutiveStores_ = 0;

@@ -14,6 +14,9 @@ using namespace os;
 
 namespace {
 
+/** Per-word page copy cost (DMA/wire time). */
+constexpr Cycles kCopyPerWordCycles = 1;
+
 // Cluster-image section tags (the nested machine blobs carry the
 // machine-level tags inside their own images).
 constexpr Word kTagDsmConfig = sim::snapshotTag('D', 'C', 'F', 'G');
@@ -191,7 +194,7 @@ DsmCluster::fetchPage(unsigned to_node, Addr page)
     src.mem().readBlock(src_pa, buf.data(), kPageBytes);
     dst.mem().writeBlock(dst_pa, buf.data(), kPageBytes);
     nodes_[to_node].env->cpu().charge(
-        config_.copyPerWordCycles * (kPageBytes / 4));
+        kCopyPerWordCycles * (kPageBytes / 4));
     stats_.pageTransfers++;
 }
 

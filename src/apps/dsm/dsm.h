@@ -76,8 +76,6 @@ class DsmCluster
         Addr base = 0x40000000;
         Word bytes = 16 * os::kPageBytes;
         rt::DeliveryMode mode = rt::DeliveryMode::FastSoftware;
-        /** Per-word page copy cost (DMA/wire time). */
-        Cycles copyPerWordCycles = 1;
         bool hardwareExtensions = true;
         /** Run every node on the predecoded fast interpreter. */
         bool fastInterpreter = false;

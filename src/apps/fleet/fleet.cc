@@ -18,6 +18,20 @@ using rt::migrate::MigrateErrorKind;
 namespace {
 
 constexpr std::size_t kMaxFailureNotes = 32;
+/** Contract-violation checkpoints written to FleetConfig::reproDir. */
+constexpr std::size_t kMaxRepros = 8;
+/** Per-guest physical memory. Small, because dozens of machines are
+ *  live at once — but it must clear os::kUserFrameBase (10 MB) with
+ *  room for user frames above it. */
+constexpr std::size_t kGuestMemBytes = 12 * 1024 * 1024;
+/** Simulated cycles one scheduler tick represents; the MTTR cycle
+ *  samples are multiples of this (no wall clock). */
+constexpr Cycles kTickCycles = 100000;
+/** Extra recovery-only ticks appended after the soak so every
+ *  recoverable guest is back up before the convergence sweep. */
+constexpr unsigned kMaxDrainTicks = 64;
+/** Campaign ops the source runs per pre-copy round. */
+constexpr unsigned kPreCopyOpsPerSlice = 4;
 
 std::uint64_t
 mix(std::uint64_t a, std::uint64_t b)
@@ -113,7 +127,7 @@ Fleet::Fleet(const FleetConfig &config)
             DsmCluster::Config dc;
             dc.nodes = 2;
             dc.bytes = 4 * os::kPageBytes;
-            dc.memBytes = config.guestMemBytes;
+            dc.memBytes = kGuestMemBytes;
             dc.fastInterpreter = g->fastInterpreter;
             dc.network.seed = mix(config.seed, 0xD500 + i);
             dc.network.lossPercent = 5;
@@ -140,7 +154,7 @@ Fleet::rigConfigFor(const Guest &guest) const
     chaos::RigConfig rc;
     rc.fastInterpreter = guest.fastInterpreter;
     rc.scheduler = config_.scheduler;
-    rc.memBytes = config_.guestMemBytes;
+    rc.memBytes = kGuestMemBytes;
     return rc;
 }
 
@@ -152,7 +166,7 @@ Fleet::referenceFor(bool fast_interpreter)
         chaos::RigConfig rc;
         rc.fastInterpreter = fast_interpreter;
         rc.scheduler = config_.scheduler;
-        rc.memBytes = config_.guestMemBytes;
+        rc.memBytes = kGuestMemBytes;
         references_[i] = std::make_unique<chaos::Reference>(
             chaos::makeReference(rc));
     }
@@ -169,7 +183,7 @@ Fleet::recordFailure(Guest &guest, const std::string &what)
             std::to_string(guest.host) + "): " + what);
     }
     if (config_.reproDir.empty() ||
-        stats_.reprosWritten.size() >= config_.maxRepros) {
+        stats_.reprosWritten.size() >= kMaxRepros) {
         return;
     }
     if (guest.isDsm ? !guest.dsm : !guest.rig)
@@ -361,12 +375,11 @@ Fleet::migrateGuest(Guest &guest, unsigned migration_index)
             // migration's — handle it exactly like stepChaosGuest.
             rt::migrate::PreCopyConfig pc;
             pc.maxRounds = config_.precopyRounds;
-            pc.convergePages = config_.precopyConvergePages;
             unsigned before = guest.rig->cursor();
             try {
                 result = rt::migrate::migrateRigPreCopy(
                     *guest.rig, *dst_rig, mc, pc,
-                    config_.precopyOpsPerSlice);
+                    kPreCopyOpsPerSlice);
             } catch (const GuestError &e) {
                 stats_.chaosOpsRun += guest.rig->cursor() - before;
                 guest.opsRun += guest.rig->cursor() - before;
@@ -769,13 +782,13 @@ Fleet::run()
             }
         }
         stats_.ticks++;
-        simNow_ += config_.tickCycles;
+        simNow_ += kTickCycles;
     }
 
     // Recovery drain: no new drills or migrations; every recoverable
     // guest must be back up (or quarantined) before the sweep.
     if (supervisor_) {
-        for (unsigned drain = 0; drain < config_.maxDrainTicks;
+        for (unsigned drain = 0; drain < kMaxDrainTicks;
              drain++, tick++) {
             bool any_down = false;
             for (std::unique_ptr<Guest> &g : guests_) {
@@ -787,7 +800,7 @@ Fleet::run()
             if (!any_down)
                 break;
             stats_.drainTicks++;
-            simNow_ += config_.tickCycles;
+            simNow_ += kTickCycles;
         }
     }
 

@@ -67,17 +67,12 @@ struct FleetConfig
     /** Host scheduler for multi-hart guests (chaos rigs are
      *  single-hart; kept for config parity with CI's barrier runs). */
     sim::SchedulerMode scheduler = sim::SchedulerMode::Auto;
-    /** Per-guest physical memory. Small, because dozens of machines
-     *  are live at once — but it must clear os::kUserFrameBase
-     *  (10 MB) with room for user frames above it. */
-    std::size_t guestMemBytes = 12 * 1024 * 1024;
     /** Baseline transport; per-migration weather perturbs the loss /
      *  corrupt / dup / delay percentages around this. */
     rt::migrate::TransportConfig transport;
     /** When non-empty, contract violations dump the guest's .uxsn
-     *  checkpoint here for offline uexc-snap triage (bounded). */
+     *  checkpoint here for offline uexc-snap triage (at most 8). */
     std::string reproDir;
-    unsigned maxRepros = 8;
 
     // -- self-healing supervision --------------------------------------
 
@@ -94,21 +89,12 @@ struct FleetConfig
      *  ticks; the newest two generations are kept, so a corrupted
      *  newest image falls back to the older one. */
     unsigned checkpointEveryTicks = 4;
-    /** Simulated cycles one scheduler tick represents; the MTTR
-     *  cycle samples are multiples of this (no wall clock). */
-    Cycles tickCycles = 100000;
-    /** Extra recovery-only ticks appended after the soak so every
-     *  recoverable guest is back up before the convergence sweep. */
-    unsigned maxDrainTicks = 64;
 
     // -- iterative pre-copy migration ----------------------------------
 
     /** Pre-copy rounds for chaos-guest migrations (dirty pages ship
      *  while the guest runs); 0 = classic stop-and-copy. */
     unsigned precopyRounds = 0;
-    unsigned precopyConvergePages = 8;
-    /** Campaign ops the source runs per pre-copy round. */
-    unsigned precopyOpsPerSlice = 4;
 
     /** Overrides the tick count when nonzero (wall-clock-bounded
      *  soaks); migrations then keep firing on every tick instead of

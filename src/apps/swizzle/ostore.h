@@ -88,9 +88,6 @@ class ObjectStore
         Cycles checkCycles = 3;
         /** Cycles to swizzle one pointer (Figure 4's s). */
         Cycles swizzleCycles = 20;
-        /** Cycles for a disk read of one object (cache-resident
-         *  store assumed by the paper's analysis: small). */
-        Cycles diskReadCycles = 400;
         /** Base of the in-memory object heap. */
         Addr heapBase = 0x20000000;
     };

@@ -6,6 +6,13 @@
 
 namespace uexc::apps {
 
+namespace {
+
+/** Non-pointer words at the front of each object. */
+constexpr unsigned kDataWordsPerObject = 6;
+
+} // namespace
+
 TraversalResult
 runTraversal(rt::UserEnv &env, SwizzleMode mode,
              const TraversalParams &params)
@@ -21,7 +28,7 @@ runTraversal(rt::UserEnv &env, SwizzleMode mode,
     std::vector<Oid> oids;
     for (unsigned i = 0; i < params.numObjects; i++) {
         std::vector<PField> fields;
-        for (unsigned d = 0; d < params.dataWordsPerObject; d++)
+        for (unsigned d = 0; d < kDataWordsPerObject; d++)
             fields.push_back(PField{false, (i << 8) | d});
         for (unsigned p = 0; p < params.pointersPerObject; p++) {
             unsigned target =
@@ -45,11 +52,11 @@ runTraversal(rt::UserEnv &env, SwizzleMode mode,
         Addr obj = frontier.front();
         frontier.pop_front();
         // touch the data fields
-        for (unsigned d = 0; d < params.dataWordsPerObject; d++)
+        for (unsigned d = 0; d < kDataWordsPerObject; d++)
             store.readData(obj, d);
         // dereference a subset of the pointers, u times each
         for (unsigned p = 0; p < used_per_obj; p++) {
-            unsigned field = params.dataWordsPerObject + p;
+            unsigned field = kDataWordsPerObject + p;
             Addr target = 0;
             for (unsigned u = 0; u < params.usesPerPointer; u++) {
                 target = store.deref(obj, field);

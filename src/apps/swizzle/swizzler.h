@@ -18,7 +18,6 @@ struct TraversalParams
     unsigned numObjects = 400;
     /** Pointer fields per object (Figure 4 assumes ~50 per page). */
     unsigned pointersPerObject = 10;
-    unsigned dataWordsPerObject = 6;
     /** Fraction of each object's pointers actually dereferenced
      *  (Figure 4's x axis: pointers used per object). */
     double useFraction = 0.5;

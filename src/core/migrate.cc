@@ -11,6 +11,11 @@ namespace uexc::rt::migrate {
 
 namespace {
 
+/** Per-word cycle costs of the checkpoint and restore halves of the
+ *  downtime window. */
+constexpr Cycles kCheckpointPerWordCycles = 1;
+constexpr Cycles kRestorePerWordCycles = 1;
+
 /** Frame header: chunk index, total chunks, payload length — all
  *  covered (with the payload) by the frame CRC, so a bit flip
  *  anywhere in the frame is detected at the receiver. */
@@ -211,7 +216,7 @@ migrateImage(const std::vector<Byte> &image,
 {
     MigrationResult result;
     Cycles words = (image.size() + 3) / 4;
-    result.downtimeCycles = config.checkpointPerWordCycles * words;
+    result.downtimeCycles = kCheckpointPerWordCycles * words;
     TransferSession session(image, config.transport);
     try {
         session.run();
@@ -223,7 +228,7 @@ migrateImage(const std::vector<Byte> &image,
                                e.what());
         }
         result.succeeded = true;
-        result.downtimeCycles += config.restorePerWordCycles * words;
+        result.downtimeCycles += kRestorePerWordCycles * words;
     } catch (const MigrateError &e) {
         result.succeeded = false;
         result.errorKind = e.kind();
@@ -466,7 +471,7 @@ migrateImagePreCopy(const PreCopySource &source,
         t.seed = splitmix64(seed_chain);
         TransferSession session(image, t);
         Cycles serialize =
-            config.checkpointPerWordCycles * ((image.size() + 3) / 4);
+            kCheckpointPerWordCycles * ((image.size() + 3) / 4);
         try {
             session.run();
             std::vector<Byte> got = session.receivedImage();
@@ -560,7 +565,7 @@ migrateImagePreCopy(const PreCopySource &source,
         // while the guest ran: the non-memory sections and the
         // residual pages.
         result.downtimeCycles +=
-            config.restorePerWordCycles *
+            kRestorePerWordCycles *
             ((result.precopy.bytesMovedStopCopy + 3) / 4);
         result.succeeded = true;
     } catch (const MigrateError &e) {

@@ -228,13 +228,12 @@ struct MigrationResult
     TransportStats transport;
 };
 
-/** Flat per-word costs for the checkpoint/restore halves of the
- *  downtime window (serialization is charged like a page copy). */
+/** How a migration ships its image. The checkpoint and restore
+ *  halves of the downtime window cost one cycle per image word each
+ *  (serialization is charged like a page copy). */
 struct MigrationConfig
 {
     TransportConfig transport;
-    Cycles checkpointPerWordCycles = 1;
-    Cycles restorePerWordCycles = 1;
 };
 
 /**

@@ -20,31 +20,33 @@
 
 namespace uexc::sim {
 
-/** Per-operation cycle costs. See file comment. */
+/** Per-operation cycle costs. See file comment. The per-instruction
+ *  costs are fixed; the miss penalties and the clock can be set. */
 struct CostModel
 {
     /** Base cost of every instruction. */
-    Cycles baseCost = 1;
+    static constexpr Cycles baseCost = 1;
     /** Additional cost of a load beyond baseCost (cache hit). */
-    Cycles loadExtra = 0;
+    static constexpr Cycles loadExtra = 0;
     /** Additional cost of a store beyond baseCost (cache hit). */
-    Cycles storeExtra = 0;
+    static constexpr Cycles storeExtra = 0;
     /** Additional cost of a taken branch/jump (refill bubble). */
-    Cycles takenBranchExtra = 0;
+    static constexpr Cycles takenBranchExtra = 0;
     /** Total cost of integer multiply. */
-    Cycles multCost = 12;
+    static constexpr Cycles multCost = 12;
     /** Total cost of integer divide. */
-    Cycles divCost = 35;
+    static constexpr Cycles divCost = 35;
+    /**
+     * Write-through cost: the R3000 DECstations used write-through
+     * caches with a write buffer; a sustained store stream stalls.
+     * Charged on every store after the first of a consecutive run.
+     */
+    static constexpr Cycles writeBufferStall = 2;
+
     /** Instruction cache miss penalty (cache model enabled only). */
     Cycles icacheMissPenalty = 14;
     /** Data cache miss penalty (cache model enabled only). */
     Cycles dcacheMissPenalty = 14;
-    /**
-     * Write-through cost: the R3000 DECstations used write-through
-     * caches with a write buffer; a sustained store stream stalls.
-     * Charged on every Nth consecutive store (0 disables).
-     */
-    Cycles writeBufferStall = 2;
 
     /** Machine clock in MHz, for converting cycles to microseconds. */
     double clockMhz = 25.0;

@@ -377,7 +377,7 @@ Cpu::memAddress(const DecodedInst &inst, unsigned size, AccessType type,
     if (type == AccessType::Store) {
         h_->stats_.stores++;
         h_->consecutiveStores_++;
-        if (h_->consecutiveStores_ >= 2 && config_.cost.writeBufferStall)
+        if (h_->consecutiveStores_ >= 2)
             charge(config_.cost.writeBufferStall);
     } else {
         h_->stats_.loads++;

@@ -4,15 +4,21 @@
 
 namespace uexc::sim {
 
+namespace {
+
+/** Geometry of each of the I and D caches. */
+constexpr std::size_t kCacheBytes = 64 * 1024;
+constexpr std::size_t kCacheLineBytes = 16;
+
+} // namespace
+
 Hart::Hart(unsigned id, const CpuConfig &config)
     : id_(id)
 {
     regs_.fill(0);
     if (config.cachesEnabled) {
-        icache_ = std::make_unique<Cache>(config.icacheBytes,
-                                          config.icacheLineBytes);
-        dcache_ = std::make_unique<Cache>(config.dcacheBytes,
-                                          config.dcacheLineBytes);
+        icache_ = std::make_unique<Cache>(kCacheBytes, kCacheLineBytes);
+        dcache_ = std::make_unique<Cache>(kCacheBytes, kCacheLineBytes);
     }
     // PrId carries the hart number in [31:24] so guest code can index
     // per-hart structures without any memory-based coordination. Hart

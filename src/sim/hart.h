@@ -77,12 +77,9 @@ struct CpuConfig
     bool userVectorTable = false;
     /** TLBMP executes in hardware (else it raises RI for emulation). */
     bool tlbmpHw = false;
-    /** Model I/D cache miss cycles. */
+    /** Model I/D cache miss cycles (64 KB direct-mapped caches with
+     *  16-byte lines, as on the DECstation 5000/200). */
     bool cachesEnabled = false;
-    std::size_t icacheBytes = 64 * 1024;
-    std::size_t icacheLineBytes = 16;
-    std::size_t dcacheBytes = 64 * 1024;
-    std::size_t dcacheLineBytes = 16;
     /**
      * Optional deterministic fault injector (not owned; must outlive
      * the machine). Cpu::run fires its events between run units and
