@@ -38,7 +38,8 @@ controlSuccessors(const DecodedInst &inst, Addr pc)
 } // namespace
 
 Cfg
-Cfg::build(const sim::Program &prog, const CodeRegion &region)
+Cfg::build(const sim::Program &prog, const CodeRegion &region,
+           const JumpTargets &jumps)
 {
     Cfg cfg;
     cfg.region_ = region;
@@ -62,6 +63,14 @@ Cfg::build(const sim::Program &prog, const CodeRegion &region)
     };
     for (unsigned i = 0; i < nwords; i++)
         cfg.insts_[i] = sim::decode(wordAt(region.begin + 4 * i));
+
+    auto successors = [&](const DecodedInst &inst, Addr pc) {
+        std::vector<Addr> out = controlSuccessors(inst, pc);
+        auto it = inst.op == Op::Jr ? jumps.find(pc) : jumps.end();
+        if (it != jumps.end())
+            out = it->second;
+        return out;
+    };
 
     // Mine jump tables: data words holding in-region code addresses
     // are additional entry points.
@@ -106,7 +115,7 @@ Cfg::build(const sim::Program &prog, const CodeRegion &region)
                     cfg.reached_[cfg.indexOf(delay)] = true;
                     cfg.delaySlot_[cfg.indexOf(delay)] = true;
                 }
-                for (Addr t : controlSuccessors(inst, pc))
+                for (Addr t : successors(inst, pc))
                     addEntry(t);
                 break;
             }
@@ -134,7 +143,7 @@ Cfg::build(const sim::Program &prog, const CodeRegion &region)
                     delay < region.end && !cfg.isData(delay);
                 b.end = has_delay ? pc + 8 : pc + 4;
                 b.fallsOff = !has_delay;
-                succAddrs = controlSuccessors(inst, pc);
+                succAddrs = successors(inst, pc);
                 break;
             }
             if ((f & sim::opf::Return) || inst.op == Op::Break) {

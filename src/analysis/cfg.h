@@ -10,9 +10,11 @@
  *  - a branch/jump and its delay slot always travel together: the
  *    block ends after the delay slot, and successor edges leave from
  *    the pair, not from the branch word;
- *  - jr/xret/rfe are region exits (no static successors); break is a
- *    terminator (it raises); syscall falls through (execution resumes
- *    after the kernel returns);
+ *  - jr/xret/rfe are region exits (no static successors) unless the
+ *    caller passes a jr's resolved targets, which become leaders and
+ *    successors of the jump's block; break is a terminator (it
+ *    raises); syscall falls through (execution resumes after the
+ *    kernel returns);
  *  - jal/jalr are calls: the static callee (when resolvable and
  *    inside the region) and the return continuation are both
  *    successors, which gives the reachability and dataflow passes a
@@ -26,6 +28,7 @@
 #ifndef UEXC_ANALYSIS_CFG_H
 #define UEXC_ANALYSIS_CFG_H
 
+#include <map>
 #include <vector>
 
 #include "common/types.h"
@@ -68,12 +71,17 @@ struct BasicBlock
     unsigned numInsts() const { return (end - begin) / 4; }
 };
 
+/** Known targets of computed jumps, keyed by the jr address. */
+using JumpTargets = std::map<Addr, std::vector<Addr>>;
+
 /** The control-flow graph of one code region. See file comment. */
 class Cfg
 {
   public:
-    /** Build the CFG of @p region over @p prog's words. */
-    static Cfg build(const sim::Program &prog, const CodeRegion &region);
+    /** Build the CFG of @p region over @p prog's words, with an edge
+     *  from each jr in @p jumps to each of its targets. */
+    static Cfg build(const sim::Program &prog, const CodeRegion &region,
+                     const JumpTargets &jumps = {});
 
     const std::vector<BasicBlock> &blocks() const { return blocks_; }
     const CodeRegion &region() const { return region_; }

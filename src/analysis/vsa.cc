@@ -345,7 +345,8 @@ Vsa::fixpoint()
     std::vector<bool> queued(blocks.size(), false);
 
     // Entry blocks (declared entries + mined jump-table targets) start
-    // with every register unknown.
+    // with every register unknown; resolved jr targets are reached
+    // along their edges instead.
     auto seed = [&](Addr a) {
         int bi = cfg_.blockIndexAt(a);
         if (bi >= 0 && blocks[bi].begin == a) {
@@ -400,17 +401,15 @@ Vsa::run(const sim::Program &prog, const CodeRegion &region,
 {
     Vsa vsa;
     vsa.opts_ = opts;
-    CodeRegion r = region;
 
-    for (unsigned iter = 0;; iter++) {
-        vsa.cfg_ = Cfg::build(prog, r);
+    // Resolve bounded computed jumps: every candidate target that is
+    // code in the region gets an edge from the jump, then re-analyze
+    // until no jump finds a new target. Edges are only ever added and
+    // every target is a region address, so this terminates.
+    for (;;) {
+        vsa.cfg_ = Cfg::build(prog, region, vsa.resolvedJumps_);
         vsa.fixpoint();
-        if (iter >= opts.maxJrIterations)
-            break;
 
-        // Resolve bounded computed jumps: every candidate target that
-        // is code in the region becomes a CFG entry, then re-analyze.
-        vsa.resolvedJumps_.clear();
         bool grew = false;
         for (const BasicBlock &b : vsa.cfg_.blocks()) {
             for (Addr a = b.begin; a < b.end; a += 4) {
@@ -421,21 +420,18 @@ Vsa::run(const sim::Program &prog, const CodeRegion &region,
                 if (targets.kind != ValueSet::Kind::Strided ||
                     targets.count > kMaxJumpTargets)
                     continue;
-                std::vector<Addr> resolved;
                 for (std::uint32_t k = 0; k < targets.count; k++) {
                     Addr t = targets.base + k * targets.stride;
-                    if ((t & 3) != 0 || t < r.begin || t >= r.end ||
-                        vsa.cfg_.isData(t))
+                    if ((t & 3) != 0 || t < region.begin ||
+                        t >= region.end || vsa.cfg_.isData(t))
                         continue;
-                    resolved.push_back(t);
-                    if (std::find(r.entries.begin(), r.entries.end(),
-                                  t) == r.entries.end()) {
-                        r.entries.push_back(t);
+                    std::vector<Addr> &known = vsa.resolvedJumps_[a];
+                    if (std::find(known.begin(), known.end(), t) ==
+                        known.end()) {
+                        known.push_back(t);
                         grew = true;
                     }
                 }
-                if (!resolved.empty())
-                    vsa.resolvedJumps_[a] = std::move(resolved);
             }
         }
         if (!grew)

@@ -17,8 +17,9 @@
  *    form per-hart may-read/may-write/may-fetch page sets;
  *  - the WCET analyzer (analysis/wcet.h) and the CFG itself benefit
  *    from computed-jump resolution: a `jr` whose target set is bounded
- *    (a mined jump table) has its targets promoted to CFG entry
- *    points, closing the indirect-jump reachability gap.
+ *    (a constant, or a mined jump table) gets CFG edges to its
+ *    targets, so the jump's register facts flow into them and the
+ *    indirect-jump reachability gap closes.
  *
  * Per-hart analysis can model `mfc0 rt, PrId` as the concrete hart id
  * (VsaOptions::modelPrId), which is what lets the multihart kernel's
@@ -109,13 +110,11 @@ struct VsaOptions
      *  analysis: pass hartId << 24). Otherwise PrId reads are Top. */
     bool modelPrId = false;
     Word prIdValue = 0;
-    /** Rounds of jr-target resolution + CFG rebuild. */
-    unsigned maxJrIterations = 8;
 };
 
 /**
  * The analysis result: a fixpoint over the region's CFG, rebuilt
- * until computed-jump resolution converges.
+ * until no computed jump resolves to a target it lacks an edge to.
  */
 class Vsa
 {
@@ -124,7 +123,7 @@ class Vsa
     static Vsa run(const sim::Program &prog, const CodeRegion &region,
                    const VsaOptions &opts = {});
 
-    /** The final CFG (entries extended with resolved jr targets). */
+    /** The final CFG (with edges to resolved jr targets). */
     const Cfg &cfg() const { return cfg_; }
 
     /** Abstract register file on entry to block @p block. */
@@ -146,11 +145,9 @@ class Vsa
               RegState &state) const;
 
     /** Resolved targets of bounded computed jumps, keyed by the jr
-     *  address. Unresolvable (Top) jumps are absent. */
-    const std::map<Addr, std::vector<Addr>> &resolvedJumps() const
-    {
-        return resolvedJumps_;
-    }
+     *  address: the jump's successors in cfg(). Jumps never bounded
+     *  (Top) are absent. */
+    const JumpTargets &resolvedJumps() const { return resolvedJumps_; }
 
   private:
     Vsa() = default;
@@ -161,7 +158,7 @@ class Vsa
     Cfg cfg_;
     VsaOptions opts_;
     std::vector<RegState> inStates_; ///< one per CFG block
-    std::map<Addr, std::vector<Addr>> resolvedJumps_;
+    JumpTargets resolvedJumps_;
 };
 
 } // namespace uexc::analysis

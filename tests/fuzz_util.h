@@ -36,7 +36,6 @@ struct FuzzGen
     std::mt19937 &rng;
     unsigned patches = 0;
     unsigned loops = 0;
-    unsigned hops = 0;
     std::vector<std::string> pendingPatches; // placed at next block start
 
     unsigned reg() { return kDataRegs[rng() % std::size(kDataRegs)]; }
@@ -151,19 +150,10 @@ struct FuzzGen
         switch (rng() % 4) {
           case 0: as.j(target); break;
           case 1: as.jal(target); break;
-          case 2: {
-            // The static analyzer starts a computed jump's target with
-            // every register unknown, so the target re-materializes
-            // the buffer base: the corpus's data addresses stay
-            // statically computable (test_parallel's may-set oracle).
-            std::string hop = "hop" + std::to_string(hops++);
-            as.la(t, hop);
+          case 2:
+            as.la(t, target);
             as.jr(t);
-            delaySlot();
-            as.label(hop);
-            as.la(T9, "buf");
-            return;
-          }
+            break;
           default:
             as.la(t, target);
             as.jalr(link, t);
@@ -283,7 +273,7 @@ buildFuzzProgram(unsigned seed)
 {
     std::mt19937 rng(seed);
     Assembler as(testutil::kTestOrigin);
-    FuzzGen gen{as, rng, 0, 0, 0, {}};
+    FuzzGen gen{as, rng, 0, 0, {}};
 
     as.la(T9, "buf");
     for (unsigned r : kDataRegs)

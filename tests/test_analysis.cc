@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string>
 
 #include "analysis/dataflow.h"
 #include "analysis/lint.h"
@@ -513,6 +514,46 @@ TEST(Vsa, ResolvesComputedJumpThroughMinedTable)
     ASSERT_EQ(it->second.size(), 1u);
     EXPECT_EQ(it->second[0], p.symbol("target"));
     EXPECT_TRUE(v.cfg().reached(p.symbol("target")));
+}
+
+TEST(Vsa, ComputedJumpChainKeepsRegisterFacts)
+{
+    // A chain of computed jumps, longer than any fixed number of CFG
+    // rebuilds one might cap it at: each target is reached only along
+    // its jump's edge, so the base register set before the first jump
+    // is still a constant after the last one.
+    constexpr unsigned kHops = 12;
+    Assembler a(kBase);
+    a.la(T9, "buf");
+    for (unsigned i = 0; i < kHops; i++) {
+        std::string hop = "hop" + std::to_string(i);
+        a.la(T0, hop);
+        a.jr(T0);
+        a.nop();
+        a.label(hop);
+    }
+    a.label("use");
+    a.lw(T1, 0, T9);
+    a.jr(RA);
+    a.nop();
+    a.label("buf");
+    a.word(0);
+    Program p = a.finalize();
+
+    Addr buf = p.symbol("buf");
+    CodeRegion region;
+    region.begin = p.origin;
+    region.end = p.end();
+    region.entries = {p.origin};
+    region.dataRanges = {{buf, buf + 4}};
+
+    Vsa v = Vsa::run(p, region);
+    Addr use = p.symbol("use");
+    ASSERT_TRUE(v.cfg().reached(use));
+    EXPECT_EQ(v.resolvedJumps().size(), kHops);
+    ValueSet ea = v.effectiveAddress(use);
+    ASSERT_TRUE(ea.isConst()) << "the jumps erased the base register";
+    EXPECT_EQ(ea.constValue(), buf);
 }
 
 // -- shared-page conflict analysis ----------------------------------------
