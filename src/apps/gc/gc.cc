@@ -150,13 +150,12 @@ Collector::onFault(rt::Fault &fault)
 }
 
 void
-Collector::scanObject(Addr payload, const HeapObject &obj, bool full)
+Collector::scanRange(Addr lo, Addr hi, bool full)
 {
-    heap_.scan(payload, payload + 4 * obj.words,
-               [&](Addr w, const HeapObject &target) {
-                   if (!target.marked && (full || !blockOf(w).old))
-                       markStack_.push_back(w);
-               });
+    heap_.scan(lo, hi, [&](Addr w, const HeapObject &target) {
+        if (!target.marked && (full || !blockOf(w).old))
+            markStack_.push_back(w);
+    });
 }
 
 void
@@ -203,16 +202,13 @@ Collector::collectImpl(bool full)
                 Addr hi = std::min(
                     obj_addr + 4 * heap_.objects.at(obj_addr).words,
                     page + kBlockBytes);
-                heap_.scan(lo, hi, [&](Addr w, const HeapObject &target) {
-                    if (!target.marked && !blockOf(w).old)
-                        markStack_.push_back(w);
-                });
+                scanRange(lo, hi, false);
             }
         }
     } else if (!full) {
         for (Addr obj_addr : remembered_) {
             if (const HeapObject *obj = heap_.find(obj_addr))
-                scanObject(obj_addr, *obj, false);
+                scanRange(obj_addr, obj_addr + 4 * obj->words, false);
         }
     }
 
@@ -226,7 +222,7 @@ Collector::collectImpl(bool full)
         obj.marked = true;
         stats_.objectsMarked++;
         env_.cpu().charge(GcHeap::kMarkVisitCycles);
-        scanObject(p, obj, full);
+        scanRange(p, p + 4 * obj.words, full);
     }
 
     // sweep; promote young blocks with survivors, recycle empty ones
@@ -278,22 +274,19 @@ void
 Collector::reprotectOldBlocks()
 {
     // write-protect the old generation in maximal contiguous runs
-    // (each run is one mprotect-style call, with its real cost)
-    std::vector<Addr> old_bases;
-    for (auto &bp : blocks_) {
-        if (bp->old)
-            old_bases.push_back(bp->base);
-    }
-    std::sort(old_bases.begin(), old_bases.end());
+    // (each run is one mprotect-style call, with its real cost);
+    // blocks_ is in address order, so a run is a run of entries
     std::size_t i = 0;
-    while (i < old_bases.size()) {
-        std::size_t j = i + 1;
-        while (j < old_bases.size() &&
-               old_bases[j] == old_bases[j - 1] + kBlockBytes) {
-            j++;
+    while (i < blocks_.size()) {
+        if (!blocks_[i]->old) {
+            i++;
+            continue;
         }
+        std::size_t j = i + 1;
+        while (j < blocks_.size() && blocks_[j]->old)
+            j++;
         Word len = static_cast<Word>((j - i) * kBlockBytes);
-        env_.protect(old_bases[i], len, kProtRead);
+        env_.protect(blocks_[i]->base, len, kProtRead);
         stats_.pagesReprotected += (j - i);
         i = j;
     }

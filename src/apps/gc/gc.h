@@ -156,7 +156,9 @@ class Collector
     }
     void onFault(rt::Fault &fault);
     void collectImpl(bool full);
-    void scanObject(Addr payload, const HeapObject &obj, bool full);
+    /** Push each unmarked object that a word of [lo, hi) points to
+     *  (young objects only, unless @p full). */
+    void scanRange(Addr lo, Addr hi, bool full);
     void reprotectOldBlocks();
 
     rt::UserEnv &env_;

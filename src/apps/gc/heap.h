@@ -33,16 +33,17 @@ struct HeapObject
     bool scanned = false;
 };
 
+/** The heap both collectors share. See file comment. */
 class GcHeap
 {
   public:
     /** Host-side cycle charges for collector bookkeeping that has no
      *  per-word heap traffic of its own (the traffic is charged by
      *  the UserEnv accessors). Rough R3000 instruction estimates. */
-    static constexpr Cycles kAllocCycles = 12;     // size lookup, bump, header
-    static constexpr Cycles kMarkVisitCycles = 8;  // stack pop, header test, set
-    static constexpr Cycles kSweepCycles = 4;      // per object at sweep
-    static constexpr Cycles kRootScanCycles = 3;   // per root slot
+    static constexpr Cycles kAllocCycles = 12;    // size, bump, header
+    static constexpr Cycles kMarkVisitCycles = 8; // pop, header test, set
+    static constexpr Cycles kSweepCycles = 4;     // per object at sweep
+    static constexpr Cycles kRootScanCycles = 3;  // per root slot
 
     GcHeap(rt::UserEnv &env, unsigned num_roots)
         : env_(env), roots_(num_roots, 0)
@@ -86,7 +87,10 @@ class GcHeap
         return it == objects.end() ? nullptr : &it->second;
     }
 
-    void setRoot(unsigned slot, Addr payload) { roots_[check(slot)] = payload; }
+    void setRoot(unsigned slot, Addr payload)
+    {
+        roots_[check(slot)] = payload;
+    }
     Addr root(unsigned slot) const { return roots_[check(slot)]; }
     const std::vector<Addr> &roots() const { return roots_; }
 

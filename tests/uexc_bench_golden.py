@@ -1,8 +1,9 @@
 #!/usr/bin/env python3
 """Exact gate on uexc-bench's simulated results (ctest uexc_bench_sim_golden).
 
-    python3 uexc_bench_golden.py path/to/uexc-bench path/to/golden.json
-    python3 uexc_bench_golden.py path/to/uexc-bench path/to/golden.json --update
+    python3 uexc_bench_golden.py BENCH GOLDEN [--update]
+
+BENCH is the uexc-bench binary and GOLDEN the golden JSON file.
 
 Runs `uexc-bench --workload all --seed 1 --smoke --json` once and compares,
 for every workload, each metric whose unit is cycles or count and the
